@@ -25,7 +25,7 @@ from .blindsig import (
     unblind,
     verify,
 )
-from .contract import ElectionContract, ElectionParams, format_tally, seal_ballot, unseal_ballot
+from .contract import ElectionContract, ElectionParams, hex_tally, seal_ballot, unseal_ballot
 from .ledger import (
     Account,
     Ledger,

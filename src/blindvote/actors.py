@@ -60,9 +60,6 @@ class PermissionList:
         self._chances = {address: chances for address, chances in entries}
         self.initial_total = sum(c for _, c in entries)
 
-    def listed(self, address: bytes) -> bool:
-        return address in self._chances
-
     def chance(self, address: bytes) -> int:
         return self._chances.get(address, 0)
 
@@ -127,7 +124,7 @@ class Organizer:
         st, ct = self._windows
         if not st <= clock < ct:
             raise OutOfWindow(f"sign request at clock {clock}, window [{st}, {ct})")
-        if self.permissions.listed(sender) and self.permissions.chance(sender) > 0:
+        if self.permissions.chance(sender) > 0:
             self.permissions.decrement(sender)
             self.issued += 1
             return sign_blinded(blinded, self.key)

@@ -32,12 +32,18 @@ def _first_accepted(election: Election):
     raise ConfigInvalid("attack needs at least one honest voter whose cast lands")
 
 
-def double_vote(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
-    """Recast an already-counted ballot from a fresh anonymous account."""
+def _voted(config: ScenarioConfig) -> Election:
+    """An election run through its setup, sign and vote stages."""
     e = Election(config)
     e.setup_stage()
     e.sign_stage()
     e.vote_stage()
+    return e
+
+
+def double_vote(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
+    """Recast an already-counted ballot from a fresh anonymous account."""
+    e = _voted(config)
     state = _first_accepted(e)
     second = voter_cast(state, e.ledger, e.contract_address, e.rng)
     e.adversary_cast_results.append(second)
@@ -54,10 +60,7 @@ def double_vote(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
 
 def replay_cast(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
     """Eavesdropper resubmits an accepted cast transaction verbatim."""
-    e = Election(config)
-    e.setup_stage()
-    e.sign_stage()
-    e.vote_stage()
+    e = _voted(config)
     state = _first_accepted(e)
     eavesdropper = create_account(e.rng)
     payload = messages.Cast(signed=state.signed, ballot=state.ballot, uuid=state.uuid)
@@ -98,10 +101,7 @@ def ineligible(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
 
 def forge_signature(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
     """Cast with random signature values instead of an organizer signature."""
-    e = Election(config)
-    e.setup_stage()
-    e.sign_stage()
-    e.vote_stage()
+    e = _voted(config)
     n = e.key.n
     forger = create_account(e.rng)
     ballot = b"FORGED-CHOICE"
@@ -157,10 +157,7 @@ def receipt_prove(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
 
 def early_tally(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
     """Read the tally one tick before the vote window closes."""
-    e = Election(config)
-    e.setup_stage()
-    e.sign_stage()
-    e.vote_stage()
+    e = _voted(config)
     e.ledger.advance_clock(config.et - 1)
     snoop = create_account(e.rng)
     try:

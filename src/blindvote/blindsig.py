@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -170,6 +171,8 @@ def fdh(digest: bytes, n: int) -> int:
     n, truncated to its bit length, and rejected until the value lands in
     range. Deterministic in (digest, n).
     """
+    if n < 2:
+        raise ValueError(f"modulus {n} leaves [1, n) empty")
     nbits = n.bit_length()
     nbytes = (nbits + 7) // 8
     ctr = 0
@@ -231,9 +234,9 @@ def verify(signed: int, digest: bytes, key: PublicKey) -> bool:
 
 
 # --- serialization --------------------------------------------------------------
-# Integers travel as lowercase big-endian hex without leading zeros; byte
-# strings as plain hex. Key files are JSON documents with fields n, e and,
-# for private keys only, d.
+# Integers travel as lowercase big-endian hex without leading zeros, and
+# only that form parses back; byte strings as plain hex. Key files are
+# JSON documents with fields n, e and, for private keys only, d.
 
 def int_to_hex(value: int) -> str:
     if value < 0:
@@ -241,7 +244,12 @@ def int_to_hex(value: int) -> str:
     return format(value, "x")
 
 
+_CANONICAL_HEX = re.compile("0|[1-9a-f][0-9a-f]*")
+
+
 def hex_to_int(text: str) -> int:
+    if not _CANONICAL_HEX.fullmatch(text):
+        raise ValueError(f"not a canonical hex integer: {text!r}")
     return int(text, 16)
 
 

@@ -9,7 +9,8 @@
 Seed precedence: --seed beats the BLINDVOTE_SEED environment variable,
 which beats the seed in the config file. Exit code 0 means every expected
 assertion held (or the transcript verified); 1 means a property or attack
-verdict came out wrong; 2 means the inputs were unusable.
+verdict came out wrong, or the transcript diverged (``tally`` prints no
+count then); 2 means the inputs were unusable.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from pathlib import Path
 
 from .attacks import ATTACKS, run_attack
 from .blindsig import keygen, save_key
-from .contract import format_tally
-from .errors import ProtocolError, ResultSealed
-from .ledger import import_log, replay
-from .scenario import RunReport, ScenarioConfig, recount, run_scenario, verify_transcript
+from .errors import ProtocolError
+from .scenario import RunReport, ScenarioConfig, run_scenario, verify_transcript
 
 SEED_ENV = "BLINDVOTE_SEED"
 
@@ -83,24 +82,28 @@ def cmd_verify(args) -> int:
         sibling = Path(args.transcript).with_name("report.json")
         report_path = sibling if sibling.exists() else None
     check = verify_transcript(args.transcript, report_path)
-    if check.ok:
-        print("transcript verified: replay and recount agree")
-        return 0
-    where = f" at index {check.index}" if check.index is not None else ""
-    print(f"DIVERGENCE{where}: {check.problem}")
-    return 1
+    if not check.ok:
+        return _divergence(check)
+    print("transcript verified: replay and recount agree")
+    return 0
 
 
 def cmd_tally(args) -> int:
-    text = Path(args.transcript).read_text()
-    replayed = replay(import_log(text))
-    try:
-        _, tally = recount(replayed)
-    except ResultSealed as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    check = verify_transcript(args.transcript)
+    if not check.ok:
+        return _divergence(check)
+    if check.tally_hex is None:
+        print("error: sealing key not published in this transcript", file=sys.stderr)
         return 1
-    sys.stdout.write(format_tally(tally))
+    for ballot_hex, count in check.tally_hex.items():
+        print(f"{ballot_hex} {count}")
     return 0
+
+
+def _divergence(check) -> int:
+    where = f" at index {check.index}" if check.index is not None else ""
+    print(f"DIVERGENCE{where}: {check.problem}")
+    return 1
 
 
 def cmd_keygen(args) -> int:

@@ -57,6 +57,8 @@ class ElectionParams:
             )
         if self.sealed != (self.sealing_pk is not None):
             raise ValueError("sealing_pk must be present exactly when sealed")
+        if self.pk.n < 2 or (self.sealed and self.sealing_pk.n < 2):
+            raise ValueError("a modulus must be at least 2")
 
 
 class ElectionContract:
@@ -124,17 +126,20 @@ class ElectionContract:
         self.published_sealing_d = d
 
     def tally(self, clock: int) -> Counter:
-        """Multiset of stored ballots, decrypted in sealed mode."""
+        """The on-chain tally: :meth:`count`, once the vote window closed."""
+        if clock < self.params.et:
+            raise ElectionOpen(f"tally at clock {clock}, vote ends at {self.params.et}")
+        return self.count()
+
+    def count(self) -> Counter:
+        """Multiset of stored ballots, decrypted in sealed mode; no window."""
         p = self.params
-        if clock < p.et:
-            raise ElectionOpen(f"tally at clock {clock}, vote ends at {p.et}")
         if not p.sealed:
             return Counter(self.ballot_box.values())
         if self.published_sealing_d is None:
             raise ResultSealed("sealing key not published")
-        spk = p.sealing_pk
         return Counter(
-            unseal_ballot(entry, spk.n, self.published_sealing_d)
+            unseal_ballot(entry, p.sealing_pk.n, self.published_sealing_d)
             for entry in self.ballot_box.values()
         )
 
@@ -172,12 +177,6 @@ def unseal_ballot(sealed: bytes, n: int, d: int) -> bytes:
         raise ValueError("sealed ballot does not decrypt under this key") from None
 
 
-def format_tally(tally: Counter) -> str:
-    """One line per distinct ballot payload: '<hex> <count>', hex-sorted."""
-    lines = [
-        f"{messages.bytes_to_field(ballot)} {count}"
-        for ballot, count in sorted(
-            tally.items(), key=lambda kv: messages.bytes_to_field(kv[0])
-        )
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+def hex_tally(tally: Counter) -> dict[str, int]:
+    """Ballot payload hex -> count, in hex order."""
+    return dict(sorted((messages.bytes_to_field(b), c) for b, c in tally.items()))

@@ -42,6 +42,10 @@ class ReplayDivergence(ProtocolError):
 class ParseError(ProtocolError):
     """A transcript line does not match the wire format."""
 
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
+
 
 # --- contract ----------------------------------------------------------------
 

@@ -119,21 +119,24 @@ class Ledger:
         with self._lock:
             if derive_address(account.auth_secret) != account.address:
                 raise AuthFailure("auth secret does not derive the sender address")
-            ts = self._clock if timestamp is None else timestamp
-            if ts < self._clock:
-                raise ClockViolation(f"timestamp {ts} behind clock {self._clock}")
             tx = Transaction(
                 index=len(self._log),
-                timestamp=ts,
+                timestamp=self._clock if timestamp is None else timestamp,
                 sender=account.address,
                 recipient=recipient,
                 payload=payload,
             )
-            result = self._execute(tx)
-            self._clock = ts
-            self._log.append(tx)
-            self._results.append(result)
-            return TxReceipt(index=tx.index, result=result)
+            return TxReceipt(index=tx.index, result=self._apply(tx))
+
+    def _apply(self, tx: Transaction):
+        """Execute one transaction and append it; a failure appends nothing."""
+        if tx.timestamp < self._clock:
+            raise ClockViolation(f"timestamp {tx.timestamp} behind clock {self._clock}")
+        result = self._execute(tx)
+        self._clock = tx.timestamp
+        self._log.append(tx)
+        self._results.append(result)
+        return result
 
     def _execute(self, tx: Transaction):
         if tx.recipient is None:
@@ -186,25 +189,25 @@ def export_log(transactions) -> str:
 
 
 def import_log(text: str) -> list[Transaction]:
+    """Parse a transcript; a bad line raises ParseError with its index."""
     transactions = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split(" ")
-        if len(parts) < 5:
-            raise ParseError(f"line {lineno}: expected at least 5 fields")
+    for pos, line in enumerate(text.splitlines()):
         try:
-            index, timestamp = int(parts[0]), int(parts[1])
+            parts = line.split(" ")
+            if len(parts) < 5:
+                raise ValueError("expected at least 5 fields")
             sender = bytes.fromhex(parts[2])
             recipient = None if parts[3] == "create" else bytes.fromhex(parts[3])
+            if len(sender) != ADDRESS_LEN or (
+                recipient is not None and len(recipient) != ADDRESS_LEN
+            ):
+                raise ValueError("malformed address")
             payload = messages.decode_payload(parts[4], parts[5:])
-        except ParseError:
-            raise
+            transactions.append(
+                Transaction(int(parts[0]), int(parts[1]), sender, recipient, payload)
+            )
         except Exception as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-        if len(sender) != ADDRESS_LEN or (
-            recipient is not None and len(recipient) != ADDRESS_LEN
-        ):
-            raise ParseError(f"line {lineno}: malformed address")
-        transactions.append(Transaction(index, timestamp, sender, recipient, payload))
+            raise ParseError(f"line {pos + 1}: {exc}", index=pos) from exc
     return transactions
 
 
@@ -228,19 +231,16 @@ def replay(transactions, expected_results=None) -> Ledger:
             raise ReplayDivergence(
                 f"index {tx.index} at position {pos}", index=pos
             )
-        if tx.timestamp < fresh._clock:
+        try:
+            result = fresh._apply(tx)
+        except ClockViolation:
             raise ReplayDivergence(
                 f"timestamp regressed at index {pos}", index=pos
-            )
-        try:
-            result = fresh._execute(tx)
+            ) from None
         except Exception as exc:
             raise ReplayDivergence(
                 f"execution failed at index {pos}: {exc}", index=pos
             ) from exc
-        fresh._clock = tx.timestamp
-        fresh._log.append(tx)
-        fresh._results.append(result)
         if expected_results is not None and result != expected_results[pos]:
             raise ReplayDivergence(
                 f"result mismatch at index {pos}: {result!r} != {expected_results[pos]!r}",

@@ -1,9 +1,12 @@
 """Transaction payloads and their wire encoding.
 
 Each payload kind serializes to a fixed-order list of space-free string
-fields. Integers use the lowercase-hex convention from ``blindsig``;
-byte strings use plain hex with ``-`` standing for the empty string so
-fields never vanish from a line.
+fields. Every class declares its fields' codecs in ``wire``, one
+(encode, decode) pair per dataclass field, in field order; trailing
+fields that hold ``None`` are left off the line. Integers use the strict
+lowercase-hex convention from ``blindsig``; byte strings use plain hex
+with ``-`` standing for the empty string so fields never vanish from a
+line.
 """
 
 from __future__ import annotations
@@ -22,6 +25,18 @@ def field_to_bytes(field: str) -> bytes:
     return b"" if field == "-" else bytes.fromhex(field)
 
 
+def _field_to_flag(field: str) -> bool:
+    if field not in ("0", "1"):
+        raise ValueError(f"flag must be 0 or 1, got {field!r}")
+    return field == "1"
+
+
+INT = (int_to_hex, hex_to_int)
+BYTES = (bytes_to_field, field_to_bytes)
+HEX = (bytes.hex, bytes.fromhex)
+FLAG = (lambda flag: "1" if flag else "0", _field_to_flag)
+
+
 @dataclass(frozen=True)
 class Deploy:
     """Create an election contract with immutable parameters."""
@@ -36,19 +51,12 @@ class Deploy:
     sealing_e: int | None = None
 
     kind = "deploy"
+    wire = (INT, INT, INT, INT, INT, FLAG, INT, INT)
 
-    def fields(self) -> list[str]:
-        out = [
-            int_to_hex(self.n),
-            int_to_hex(self.e),
-            int_to_hex(self.st),
-            int_to_hex(self.ct),
-            int_to_hex(self.et),
-            "1" if self.sealed else "0",
-        ]
-        if self.sealed:
-            out += [int_to_hex(self.sealing_n), int_to_hex(self.sealing_e)]
-        return out
+    def __post_init__(self):
+        present = (self.sealing_n is not None, self.sealing_e is not None)
+        if present != (self.sealed, self.sealed):
+            raise ValueError("sealing fields must be present exactly when sealed")
 
 
 @dataclass(frozen=True)
@@ -59,9 +67,7 @@ class Check:
     blinded: int
 
     kind = "check"
-
-    def fields(self) -> list[str]:
-        return [int_to_hex(self.signed_blinded), int_to_hex(self.blinded)]
+    wire = (INT, INT)
 
 
 @dataclass(frozen=True)
@@ -73,9 +79,7 @@ class Cast:
     uuid: bytes
 
     kind = "cast"
-
-    def fields(self) -> list[str]:
-        return [int_to_hex(self.signed), bytes_to_field(self.ballot), self.uuid.hex()]
+    wire = (INT, BYTES, HEX)
 
 
 @dataclass(frozen=True)
@@ -86,9 +90,7 @@ class Publish:
     d: int
 
     kind = "publish"
-
-    def fields(self) -> list[str]:
-        return [int_to_hex(self.n), int_to_hex(self.d)]
+    wire = (INT, INT)
 
 
 @dataclass(frozen=True)
@@ -96,9 +98,7 @@ class Tally:
     """Read the on-chain tally."""
 
     kind = "tally"
-
-    def fields(self) -> list[str]:
-        return []
+    wire = ()
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,7 @@ class SignRequest:
     blinded: int
 
     kind = "sign_request"
-
-    def fields(self) -> list[str]:
-        return [int_to_hex(self.blinded)]
+    wire = (INT,)
 
 
 @dataclass(frozen=True)
@@ -125,9 +123,7 @@ class SignResponse:
     signed_blinded: int
 
     kind = "sign_response"
-
-    def fields(self) -> list[str]:
-        return [int_to_hex(self.blinded), int_to_hex(self.signed_blinded)]
+    wire = (INT, INT)
 
 
 Payload = Deploy | Check | Cast | Publish | Tally | SignRequest | SignResponse
@@ -136,52 +132,24 @@ _KINDS = {cls.kind: cls for cls in (Deploy, Check, Cast, Publish, Tally, SignReq
 
 
 def encode_payload(payload: Payload) -> list[str]:
-    return [payload.kind, *payload.fields()]
+    values = [getattr(payload, name) for name in payload.__dataclass_fields__]
+    while values and values[-1] is None:
+        values.pop()
+    return [payload.kind, *(encode(v) for (encode, _), v in zip(payload.wire, values))]
 
 
 def decode_payload(kind: str, fields: list[str]) -> Payload:
+    cls = _KINDS.get(kind)
+    if cls is None:
+        raise ParseError(f"unknown payload kind {kind!r}")
     try:
-        return _decode(kind, fields)
-    except ParseError:
-        raise
+        if len(fields) > len(cls.wire):
+            raise ValueError(f"{kind} takes at most {len(cls.wire)} fields")
+        payload = cls(*(decode(f) for (_, decode), f in zip(cls.wire, fields)))
+        # only fields that encode as absent may be absent
+        absent = list(cls.__dataclass_fields__)[len(fields) :]
+        if any(getattr(payload, name) is not None for name in absent):
+            raise ValueError(f"{kind} needs more than {len(fields)} fields")
     except Exception as exc:
         raise ParseError(f"bad {kind} payload fields {fields!r}: {exc}") from exc
-
-
-def _decode(kind: str, fields: list[str]) -> Payload:
-    if kind not in _KINDS:
-        raise ParseError(f"unknown payload kind {kind!r}")
-    if kind == "deploy":
-        if len(fields) not in (6, 8):
-            raise ParseError(f"deploy expects 6 or 8 fields, got {len(fields)}")
-        sealed = fields[5] == "1"
-        if sealed != (len(fields) == 8):
-            raise ParseError("deploy sealing fields do not match the sealed flag")
-        return Deploy(
-            n=hex_to_int(fields[0]),
-            e=hex_to_int(fields[1]),
-            st=hex_to_int(fields[2]),
-            ct=hex_to_int(fields[3]),
-            et=hex_to_int(fields[4]),
-            sealed=sealed,
-            sealing_n=hex_to_int(fields[6]) if sealed else None,
-            sealing_e=hex_to_int(fields[7]) if sealed else None,
-        )
-    if kind == "check":
-        a, b = fields
-        return Check(hex_to_int(a), hex_to_int(b))
-    if kind == "cast":
-        sig, ballot, uuid = fields
-        return Cast(hex_to_int(sig), field_to_bytes(ballot), bytes.fromhex(uuid))
-    if kind == "publish":
-        n, d = fields
-        return Publish(hex_to_int(n), hex_to_int(d))
-    if kind == "tally":
-        if fields:
-            raise ParseError("tally takes no fields")
-        return Tally()
-    if kind == "sign_request":
-        (blinded,) = fields
-        return SignRequest(hex_to_int(blinded))
-    (blinded, signed_blinded) = fields
-    return SignResponse(hex_to_int(blinded), hex_to_int(signed_blinded))
+    return payload

@@ -32,7 +32,7 @@ from .blindsig import (
     keygen,
     keypair_from_primes,
 )
-from .contract import unseal_ballot
+from .contract import hex_tally
 from .errors import (
     CheckFailed,
     ConfigInvalid,
@@ -41,7 +41,15 @@ from .errors import (
     ResultSealed,
     SignRefused,
 )
-from .ledger import Account, Ledger, create_account, export_log, import_log, replay
+from .ledger import (
+    Account,
+    Ledger,
+    Transaction,
+    create_account,
+    export_log,
+    import_log,
+    replay,
+)
 from .rng import as_rng, spawn
 
 VOTER_KINDS = ("honest", "careless", "unlisted")
@@ -199,7 +207,6 @@ class VoterRun:
     check_failures: int = 0
     cast_results: list[bool] = field(default_factory=list)
     junk_results: list[bool] = field(default_factory=list)
-    accepted_payloads: list[bytes] = field(default_factory=list)
     accepted_plains: list[bytes] = field(default_factory=list)
 
     @property
@@ -390,7 +397,6 @@ class Election:
                 )
                 v.cast_results.append(ok)
                 if ok:
-                    v.accepted_payloads.append(state.ballot)
                     v.accepted_plains.append(state.plain_ballot)
 
     def _junk_cast(self, state: VoterState) -> bool:
@@ -428,17 +434,23 @@ class Election:
 
     def _scan_plaintext(self, transcript: str) -> list[str]:
         """Plaintext ballot bytes that leak into a sealed transcript."""
-        leaks = []
-        payload_blobs = [
+        blobs = [
             tx.payload.ballot
             for tx in self.ledger.log
             if isinstance(tx.payload, messages.Cast)
         ]
+        found = {}
+        for plain in {v.spec.ballot.encode() for v in self.voters}:
+            found[plain] = (
+                len(plain) >= 4 and plain.hex() in transcript,
+                any(plain in blob for blob in blobs),
+            )
+        leaks = []
         for v in self.voters:
-            plain = v.spec.ballot.encode()
-            if len(plain) >= 4 and plain.hex() in transcript:
+            in_hex, in_payload = found[v.spec.ballot.encode()]
+            if in_hex:
                 leaks.append(f"{v.spec.name}: ballot hex visible in transcript")
-            if any(plain in blob for blob in payload_blobs):
+            if in_payload:
                 leaks.append(f"{v.spec.name}: ballot bytes inside a cast payload")
         return leaks
 
@@ -450,22 +462,11 @@ class Election:
 
     # -- reporting -----------------------------------------------------------
 
-    def final_tally(self) -> Counter | None:
-        """Plain-view tally: decrypted in sealed mode once published."""
-        return self.onchain_tally
-
     def build_report(self, attack: AttackOutcome | None = None) -> RunReport:
-        tally = self.final_tally() or Counter()
-        tally_hex = {
-            messages.bytes_to_field(ballot): count
-            for ballot, count in sorted(
-                tally.items(), key=lambda kv: messages.bytes_to_field(kv[0])
-            )
-        }
         transcript = self.ledger.export()
         return RunReport(
             seed=self.config.seed,
-            tally_hex=tally_hex,
+            tally_hex=hex_tally(self.onchain_tally or Counter()),
             assertions=evaluate_assertions(self),
             voters=[
                 {
@@ -532,7 +533,7 @@ def _privacy_row(election: Election) -> AssertionRow:
                 secret_hex.append(int_to_hex(state.r))
     for tx in election.ledger.log:
         if isinstance(tx.payload, (messages.SignRequest, messages.SignResponse, messages.Check)):
-            fields = tx.payload.fields()
+            fields = messages.encode_payload(tx.payload)[1:]
             if any(s in fields for s in secret_hex):
                 problems.append(f"voter-local value surfaced at index {tx.index}")
     if election.key.n == TOY_KEYPAIR.n and not problems:
@@ -620,12 +621,8 @@ def _robustness_row(election: Election) -> AssertionRow:
 
 
 def _verifiability_row(election: Election) -> AssertionRow:
-    text = election.ledger.export()
     try:
-        txs = import_log(text)
-        if export_log(txs) != text:
-            return _row("verifiability", False, "transcript round-trip not byte-exact")
-        replayed = replay(txs, expected_results=election.ledger.results)
+        _, replayed = check_transcript(election.ledger.export(), election.ledger.results)
     except (ParseError, ReplayDivergence) as exc:
         return _row("verifiability", False, f"replay failed: {exc}")
     if replayed.contracts != election.ledger.contracts:
@@ -680,7 +677,7 @@ def _correctness_row(election: Election) -> AssertionRow:
     accepted = Counter()
     for v in election.voters:
         accepted.update(v.accepted_plains)
-    tally = election.final_tally()
+    tally = election.onchain_tally
     if tally is None:
         return _row("correctness", False, "tally unavailable")
     return _row(
@@ -705,15 +702,24 @@ def recount(ledger: Ledger) -> tuple[bytes, Counter]:
     if len(contracts) != 1:
         raise ParseError(f"expected exactly one contract, found {len(contracts)}")
     (address, contract), = contracts.items()
-    if not contract.params.sealed:
-        return address, Counter(contract.ballot_box.values())
-    if contract.published_sealing_d is None:
-        raise ResultSealed("sealing key not published in this transcript")
-    spk = contract.params.sealing_pk
-    return address, Counter(
-        unseal_ballot(entry, spk.n, contract.published_sealing_d)
-        for entry in contract.ballot_box.values()
-    )
+    return address, contract.count()
+
+
+def check_transcript(
+    text: str, expected_results=None
+) -> tuple[list[Transaction], Ledger]:
+    """Parse a transcript, check it is canonical and replay it.
+
+    Raises ParseError or ReplayDivergence, with the first bad index where
+    one line is at fault.
+    """
+    txs = import_log(text)
+    canonical = export_log(txs)
+    if canonical != text:
+        lines = zip(canonical.splitlines(True), text.splitlines(True))
+        index = next((i for i, (a, b) in enumerate(lines) if a != b), None)
+        raise ParseError("transcript is not in canonical form", index=index)
+    return txs, replay(txs, expected_results=expected_results)
 
 
 @dataclass(frozen=True)
@@ -730,27 +736,18 @@ def verify_transcript(
     """Parse, replay and recount a transcript; compare against its report.
 
     Any structural break (bad line, index gap, failing execution) and any
-    tally or length mismatch against the report counts as divergence.
+    tally or length mismatch against the report counts as divergence. A
+    sealed transcript whose key was never published has no tally.
     """
-    text = Path(transcript_path).read_text()
     try:
-        txs = import_log(text)
-        if export_log(txs) != text:
-            return TranscriptCheck(False, "transcript is not in canonical form")
-        replayed = replay(txs)
-    except ParseError as exc:
-        return TranscriptCheck(False, f"parse: {exc}")
-    except ReplayDivergence as exc:
+        txs, replayed = check_transcript(Path(transcript_path).read_text())
+    except (ParseError, ReplayDivergence) as exc:
         return TranscriptCheck(False, str(exc), index=exc.index)
     tally_hex = None
     try:
-        _, tally = recount(replayed)
-        tally_hex = {
-            messages.bytes_to_field(b): c
-            for b, c in sorted(tally.items(), key=lambda kv: messages.bytes_to_field(kv[0]))
-        }
+        tally_hex = hex_tally(recount(replayed)[1])
     except ResultSealed:
-        tally = None
+        pass
     except (ParseError, ValueError) as exc:
         return TranscriptCheck(False, f"recount: {exc}")
     if report_path is not None:

@@ -137,6 +137,12 @@ class TestFdh:
         assert 1 <= fdh(digest, kp.n) < kp.n
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_fdh_rejects_modulus_below_two(n):
+    with pytest.raises(ValueError):
+        fdh(b"x", n)
+
+
 class TestBlindSignUnblind:
     def test_blind_with_unit_r_is_fdh(self):
         d = digest_of(b"a")
@@ -255,6 +261,19 @@ class TestSerialization:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             int_to_hex(-1)
+
+    @pytest.mark.parametrize(
+        "text", ["", "-1", "+1", "0x1f", "1F", "01", "00", "1_0", " 1", "1 ", "g"]
+    )
+    def test_non_canonical_hex_rejected(self, text):
+        with pytest.raises(ValueError):
+            hex_to_int(text)
+
+    def test_key_file_with_non_canonical_hex_rejected(self, tmp_path):
+        path = tmp_path / "key.json"
+        path.write_text('{"n": "0xca1", "e": "11"}')
+        with pytest.raises(ValueError):
+            load_key(path)
 
     def test_private_key_file_roundtrip(self, tmp_path):
         path = tmp_path / "key.json"

@@ -1,11 +1,17 @@
 """CLI verbs, exit codes, and the seed override chain."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from blindvote.cli import main
 from blindvote.blindsig import load_key
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -127,6 +133,53 @@ class TestVerifyAndTally:
         path.write_text(election.ledger.export())
         assert main(["tally", str(path)]) == 1
         assert "not published" in capsys.readouterr().err
+
+
+class TestDivergentTranscripts:
+    """verify and tally both refuse a transcript that does not replay."""
+
+    @pytest.fixture
+    def transcript(self, tmp_path):
+        out = tmp_path / "adv"
+        assert main(["run", str(ROOT / "configs" / "adversarial.json"), "--out", str(out)]) == 0
+        return out / "transcript.log"
+
+    @staticmethod
+    def _edit_first(path, kind, field, edit) -> int:
+        """Rewrite one payload field on the first line of ``kind``; return its index."""
+        lines = path.read_text().splitlines(keepends=True)
+        index = next(i for i, line in enumerate(lines) if line.split(" ")[4] == kind)
+        parts = lines[index].rstrip("\n").split(" ")
+        parts[5 + field] = edit(parts[5 + field])
+        lines[index] = " ".join(parts) + "\n"
+        path.write_text("".join(lines))
+        return index
+
+    def test_negated_signature(self, transcript, capsys):
+        assert self._edit_first(transcript, "cast", 0, lambda sig: "-" + sig) == 16
+        assert main(["verify", str(transcript)]) == 1
+        assert capsys.readouterr().out.startswith("DIVERGENCE at index 16:")
+        assert main(["tally", str(transcript)]) == 1
+        assert capsys.readouterr().out.startswith("DIVERGENCE at index 16:")
+
+    def test_unit_modulus_does_not_hang(self, transcript):
+        assert self._edit_first(transcript, "deploy", 0, lambda n: "1") == 0
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        for verb in ("verify", "tally"):
+            done = subprocess.run(
+                [sys.executable, "-m", "blindvote.cli", verb, str(transcript)],
+                capture_output=True,
+                text=True,
+                timeout=30,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+            assert done.returncode == 1, done.stderr
+            assert done.stdout.startswith("DIVERGENCE at index 0:")
+
+    def test_non_canonical_line_named(self, transcript, capsys):
+        index = self._edit_first(transcript, "cast", 1, str.upper)
+        assert main(["verify", str(transcript)]) == 1
+        assert capsys.readouterr().out.startswith(f"DIVERGENCE at index {index}:")
 
 
 class TestKeygen:

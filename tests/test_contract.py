@@ -7,6 +7,7 @@ import pytest
 
 from blindvote.blindsig import (
     TOY_KEYPAIR,
+    PublicKey,
     ballot_digest,
     blind,
     fdh,
@@ -17,7 +18,7 @@ from blindvote.blindsig import (
 from blindvote.contract import (
     ElectionContract,
     ElectionParams,
-    format_tally,
+    hex_tally,
     seal_ballot,
     unseal_ballot,
 )
@@ -70,6 +71,19 @@ class TestParams:
     def test_sealed_requires_key(self):
         with pytest.raises(ValueError):
             ElectionParams(pk=TOY.public, st=1, ct=2, et=3, sealed=True)
+
+    @pytest.mark.parametrize("sealed", [False, True])
+    def test_modulus_below_two_rejected(self, sealed):
+        unit = PublicKey(1, 3)
+        with pytest.raises(ValueError):
+            ElectionParams(
+                pk=TOY.public if sealed else unit,
+                st=1,
+                ct=2,
+                et=3,
+                sealed=sealed,
+                sealing_pk=unit if sealed else None,
+            )
 
     def test_params_immutable(self):
         params = ElectionParams(pk=TOY.public, st=10, ct=20, et=30)
@@ -166,6 +180,12 @@ class TestTally:
         with pytest.raises(ElectionOpen):
             make_contract().tally(clock=29)
 
+    def test_count_ignores_the_window(self):
+        c = make_contract()
+        uuid = uuid_of(0)
+        assert c.cast(signed_ballot(b"A", uuid), b"A", uuid, clock=20)
+        assert c.count() == Counter({b"A": 1})
+
 
 class TestSealedMode:
     def _with_sealed_casts(self):
@@ -238,13 +258,13 @@ class TestSealing:
             unseal_ballot(b"\x00" * 4, SEALING.n, SEALING.d)
 
 
-class TestFormatTally:
+class TestHexTally:
     def test_sorted_lines(self):
-        text = format_tally(Counter({b"B": 1, b"A": 2}))
-        assert text == "41 2\n42 1\n"
+        tally = hex_tally(Counter({b"B": 1, b"A": 2}))
+        assert list(tally.items()) == [("41", 2), ("42", 1)]
 
     def test_empty(self):
-        assert format_tally(Counter()) == ""
+        assert hex_tally(Counter()) == {}
 
     def test_empty_payload_key(self):
-        assert format_tally(Counter({b"": 3})) == "- 3\n"
+        assert hex_tally(Counter({b"": 3})) == {"-": 3}

@@ -187,6 +187,56 @@ class TestWireFormat:
         kind, *fields = messages.encode_payload(payload)
         assert messages.decode_payload(kind, fields) == payload
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            deploy_payload(),
+            messages.Deploy(TOY.n, TOY.e, 10, 20, 30, True, 4757, 17),
+            messages.Check(99, 1234),
+            messages.Cast(5, b"AB", b"\x01" * 16),
+            messages.Publish(4757, 3),
+            messages.Tally(),
+            messages.SignRequest(0),
+            messages.SignResponse(1234, 99),
+        ],
+    )
+    def test_every_kind_round_trips(self, payload):
+        kind, *fields = messages.encode_payload(payload)
+        assert messages.decode_payload(kind, fields) == payload
+
+    def test_deploy_fields_omitted_only_when_unsealed(self):
+        assert len(messages.encode_payload(deploy_payload())) == 1 + 6
+        with pytest.raises(ValueError):
+            messages.Deploy(TOY.n, TOY.e, 10, 20, 30, sealed=True)
+        with pytest.raises(ValueError):
+            messages.Deploy(TOY.n, TOY.e, 10, 20, 30, sealing_n=4757, sealing_e=17)
+
+    @pytest.mark.parametrize(
+        "kind,fields",
+        [
+            ("deploy", ["ca1", "11", "a", "14", "1e"]),  # flag missing
+            ("deploy", ["ca1", "11", "a", "14", "1e", "2"]),  # flag not 0/1
+            ("deploy", ["ca1", "11", "a", "14", "1e", "1"]),  # sealed, no key
+            ("deploy", ["ca1", "11", "a", "14", "1e", "0", "1295"]),
+            ("deploy", ["ca1", "11", "a", "14", "1e", "0", "1295", "11"]),
+            ("sign_request", []),
+            ("sign_request", ["4d2", "4d2"]),
+            ("sign_request", ["-4d2"]),
+            ("tally", ["0"]),
+        ],
+    )
+    def test_malformed_fields_rejected(self, kind, fields):
+        with pytest.raises(ParseError):
+            messages.decode_payload(kind, fields)
+
+    def test_parse_error_carries_line_index(self):
+        text = self._populated().export()
+        lines = text.splitlines(keepends=True)
+        lines[2] = lines[2].replace("sign_response 4d2", "sign_response 04d2")
+        with pytest.raises(ParseError) as exc:
+            import_log("".join(lines))
+        assert exc.value.index == 2
+
     def test_empty_ballot_field(self):
         payload = messages.Cast(signed=1, ballot=b"", uuid=b"\x00" * 16)
         kind, *fields = messages.encode_payload(payload)
