@@ -433,7 +433,12 @@ class Election:
             _, self.offchain_tally = recount(replay(self.ledger.log))
 
     def _scan_plaintext(self, transcript: str) -> list[str]:
-        """Plaintext ballot bytes that leak into a sealed transcript."""
+        """Plaintext ballot bytes that leak into a sealed transcript.
+
+        A cast payload leaks a ballot it equals or, for ballots of at least
+        4 bytes (shorter ones turn up in ciphertext by chance), contains;
+        the same 4-byte rule applies to the ballot's hex in the transcript.
+        """
         blobs = [
             tx.payload.ballot
             for tx in self.ledger.log
@@ -441,9 +446,10 @@ class Election:
         ]
         found = {}
         for plain in {v.spec.ballot.encode() for v in self.voters}:
+            long = len(plain) >= 4
             found[plain] = (
-                len(plain) >= 4 and plain.hex() in transcript,
-                any(plain in blob for blob in blobs),
+                long and plain.hex() in transcript,
+                any(blob == plain or (long and plain in blob) for blob in blobs),
             )
         leaks = []
         for v in self.voters:

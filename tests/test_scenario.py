@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import pytest
 
+from blindvote import messages
 from blindvote.errors import ConfigInvalid, ResultSealed
-from blindvote.ledger import import_log, replay
+from blindvote.ledger import create_account, import_log, replay
 from blindvote.scenario import (
     EXPECTED_VERDICTS,
     Election,
@@ -177,6 +178,27 @@ class TestSealedRun:
         plain = run_scenario(small_config)
         sealed = run_scenario(replace(small_config, sealed=True))
         assert sealed.tally_hex == plain.tally_hex
+
+    def test_short_ballots_inside_ciphertext_are_no_leak(self):
+        # one-byte ballots turn up inside ciphertexts by chance
+        voters = [VoterSpec(f"v{i}", "AB"[i % 2]) for i in range(40)]
+        cfg = ScenarioConfig(st=10, ct=20, et=30, voters=voters, sealed=True, seed=1)
+        election = Election(cfg)
+        election.run()
+        assert election.sealed_leaks == []
+        report = election.build_report()
+        fairness = next(row for row in report.assertions if row.prop == "fairness")
+        assert fairness.observed == "holds"
+
+    def test_unsealed_short_ballot_in_a_cast_leaks(self, small_config):
+        election = Election(replace(small_config, sealed=True, voters=[VoterSpec("a", "A")]))
+        election.setup_stage()
+        election.sign_stage()
+        election.vote_stage()
+        cast = messages.Cast(signed=1, ballot=b"A", uuid=bytes(16))
+        election.ledger.submit(create_account(99), election.contract_address, cast)
+        election.count_stage()
+        assert election.sealed_leaks == ["a: ballot bytes inside a cast payload"]
 
     def test_transcript_carries_no_plaintext(self, small_config):
         cfg = replace(small_config, sealed=True)
