@@ -22,7 +22,6 @@ import hashlib
 import json
 import math
 import random
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -244,13 +243,16 @@ def int_to_hex(value: int) -> str:
     return format(value, "x")
 
 
-_CANONICAL_HEX = re.compile("0|[1-9a-f][0-9a-f]*")
-
-
 def hex_to_int(text: str) -> int:
-    if not _CANONICAL_HEX.fullmatch(text):
+    """Parse an integer in exactly the form int_to_hex writes.
+
+    That is ``0|[1-9a-f][0-9a-f]*``: no sign, ``0x``, ``_``, whitespace,
+    upper case or leading zero.
+    """
+    value = int(text, 16)
+    if value < 0 or format(value, "x") != text:
         raise ValueError(f"not a canonical hex integer: {text!r}")
-    return int(text, 16)
+    return value
 
 
 def save_key(path: str | Path, key: KeyPair | PublicKey) -> None:

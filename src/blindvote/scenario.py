@@ -41,15 +41,7 @@ from .errors import (
     ResultSealed,
     SignRefused,
 )
-from .ledger import (
-    Account,
-    Ledger,
-    Transaction,
-    create_account,
-    export_log,
-    import_log,
-    replay,
-)
+from .ledger import Account, Ledger, Transaction, create_account, export_log, import_log, replay
 from .rng import as_rng, spawn
 
 VOTER_KINDS = ("honest", "careless", "unlisted")
@@ -711,9 +703,7 @@ def recount(ledger: Ledger) -> tuple[bytes, Counter]:
     return address, contract.count()
 
 
-def check_transcript(
-    text: str, expected_results=None
-) -> tuple[list[Transaction], Ledger]:
+def check_transcript(text: str, expected_results=None) -> tuple[list[Transaction], Ledger]:
     """Parse a transcript, check it is canonical and replay it.
 
     Raises ParseError or ReplayDivergence, with the first bad index where
