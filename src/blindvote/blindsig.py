@@ -233,9 +233,9 @@ def verify(signed: int, digest: bytes, key: PublicKey) -> bool:
 
 
 # --- serialization --------------------------------------------------------------
-# Integers travel as lowercase big-endian hex without leading zeros, and
-# only that form parses back; byte strings as plain hex. Key files are
-# JSON documents with fields n, e and, for private keys only, d.
+# Integers travel as lowercase big-endian hex without leading zeros; byte
+# strings as plain hex. Key files are JSON documents with fields n, e and,
+# for private keys only, d.
 
 def int_to_hex(value: int) -> str:
     if value < 0:

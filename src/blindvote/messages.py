@@ -31,17 +31,12 @@ def _field_to_flag(field: str) -> bool:
     return field == "1"
 
 
-def _optional(codec):
-    """The codec of a field that may be absent (None) at the end of a line."""
-    encode, decode = codec
-    return (
-        lambda value: None if value is None else encode(value),
-        lambda field: None if field is None else decode(field),
-    )
-
-
 INT = (int_to_hex, hex_to_int)
-OPTIONAL_INT = _optional(INT)
+#: an integer that may be absent (None) at the end of a line
+OPTIONAL_INT = (
+    lambda value: None if value is None else int_to_hex(value),
+    lambda field: None if field is None else hex_to_int(field),
+)
 BYTES = (bytes_to_field, field_to_bytes)
 HEX = (bytes.hex, bytes.fromhex)
 FLAG = (lambda flag: "1" if flag else "0", _field_to_flag)
@@ -150,7 +145,8 @@ def _compile(cls):
     """
     env = {"cls": cls}
     encoded, params, decoded = [repr(cls.kind)], [], []
-    for i, (name, (encode, decode)) in enumerate(zip(cls.__dataclass_fields__, cls.wire)):
+    fields = zip(cls.__dataclass_fields__, cls.wire, strict=True)
+    for i, (name, (encode, decode)) in enumerate(fields):
         env[f"e{i}"], env[f"d{i}"] = encode, decode
         encoded.append(f"e{i}(p.{name})")
         params.append(f"f{i}=None")
