@@ -118,21 +118,23 @@ class Organizer:
         return self.contract_address
 
     def decide_sign(self, sender: bytes, blinded: int, clock: int) -> int:
-        """Sign-or-refuse: listed sender with budget gets blinded^d, else 0."""
+        """Sign-or-refuse: listed sender with budget gets blinded^d, else 0.
+
+        A blinded value outside [1, n) is refused and costs no budget.
+        """
         if self._windows is None:
             raise RuntimeError("setup() has not run")
         st, ct = self._windows
         if not st <= clock < ct:
             raise OutOfWindow(f"sign request at clock {clock}, window [{st}, {ct})")
-        if self.permissions.chance(sender) > 0:
+        if 0 < blinded < self.key.n and self.permissions.chance(sender) > 0:
             self.permissions.decrement(sender)
             self.issued += 1
             return sign_blinded(blinded, self.key)
         return REFUSED
 
-    def process_requests(self, ledger: Ledger) -> int:
+    def process_requests(self, ledger: Ledger) -> None:
         """Answer every unanswered signing request addressed to us."""
-        answered = 0
         log = ledger.log
         while self._cursor < len(log):
             tx = log[self._cursor]
@@ -147,8 +149,6 @@ class Organizer:
                 tx.sender,
                 messages.SignResponse(blinded=tx.payload.blinded, signed_blinded=response),
             )
-            answered += 1
-        return answered
 
     def publish_result(self, ledger: Ledger) -> None:
         """Reveal the sealing private key on-ledger (sealed elections only)."""
@@ -292,7 +292,8 @@ def save_voter_state(path: str | Path, state: VoterState) -> None:
 
     This file is the receipt-freeness liability in the flesh: whoever
     reads it learns r and uuid and can prove how the vote went. The
-    simulator writes it anyway because real voters would, too.
+    simulator never writes it; it shows what a real voter's client
+    would keep on disk.
     """
     doc = {
         "ballot": state.ballot.hex(),

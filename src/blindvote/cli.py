@@ -6,18 +6,16 @@
     blindvote tally <transcript>
     blindvote keygen --bits N --seed S --out FILE [--public FILE]
 
-Seed precedence: --seed beats the BLINDVOTE_SEED environment variable,
-which beats the seed in the config file. Exit code 0 means every expected
-assertion held (or the transcript verified); 1 means a property or attack
-verdict came out wrong, or the transcript diverged (``tally`` prints no
-count then); 2 means the inputs were unusable.
+--seed replaces the seed in the config file. Exit code 0 means every
+expected assertion held (or the transcript verified); 1 means a property
+or attack verdict came out wrong, or the transcript diverged (``tally``
+prints no count then); 2 means the inputs were unusable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,17 +25,10 @@ from .blindsig import keygen, save_key
 from .errors import ProtocolError
 from .scenario import RunReport, ScenarioConfig, run_scenario, verify_transcript
 
-SEED_ENV = "BLINDVOTE_SEED"
-
 
 def _load_config(path: str, seed_arg: int | None) -> ScenarioConfig:
     config = ScenarioConfig.from_json_file(path)
-    env_seed = os.environ.get(SEED_ENV)
-    if env_seed is not None:
-        config = replace(config, seed=int(env_seed))
-    if seed_arg is not None:
-        config = replace(config, seed=seed_arg)
-    return config
+    return config if seed_arg is None else replace(config, seed=seed_arg)
 
 
 def _print_report(report: RunReport) -> None:

@@ -9,10 +9,11 @@ phase windows are explicit:
     vote window         [ct, et)
     tally, publish      clock >= et
 
-The judge function accepts a cast iff the signature verifies against the
-full-domain hash of sha256(ballot) || uuid under the election public key
-and the uuid is fresh. Invalid casts return False and leave the box
-untouched; only window violations raise.
+The judge function accepts a cast iff the signature lies in [1, n),
+verifies against the full-domain hash of sha256(ballot) || uuid under the
+election public key, and the uuid is fresh. Invalid casts return False
+and leave the box untouched; only window violations raise. Requiring
+[1, n) gives each signature exactly one wire encoding.
 """
 
 from __future__ import annotations
@@ -94,18 +95,24 @@ class ElectionContract:
     # -- operations ------------------------------------------------------------
 
     def check_signature(self, signed_blinded: int, blinded: int, clock: int) -> bool:
-        """True iff signed_blinded^e mod n recovers the blinded value."""
+        """True iff signed_blinded^e mod n recovers the blinded value.
+
+        Either value outside [1, n) fails the check.
+        """
         p = self.params
         if not p.st <= clock < p.ct:
             raise OutOfWindow(f"check at clock {clock}, window [{p.st}, {p.ct})")
-        return pow(signed_blinded, p.pk.e, p.pk.n) == blinded
+        n = p.pk.n
+        if not (0 < signed_blinded < n and 0 < blinded < n):
+            return False
+        return pow(signed_blinded, p.pk.e, n) == blinded
 
     def cast(self, signed: int, ballot: bytes, uuid: bytes, clock: int) -> bool:
         """Judge a ballot; accepted entries go into the box keyed by uuid."""
         p = self.params
         if not p.ct <= clock < p.et:
             raise OutOfWindow(f"cast at clock {clock}, window [{p.ct}, {p.et})")
-        if len(uuid) != 16 or uuid in self.ballot_box:
+        if len(uuid) != 16 or uuid in self.ballot_box or not 0 < signed < p.pk.n:
             return False
         expected = fdh(ballot_digest(ballot, uuid), p.pk.n)
         if pow(signed, p.pk.e, p.pk.n) != expected:

@@ -105,13 +105,9 @@ class Ledger:
             self._clock = to
 
     def submit(
-        self,
-        account: Account,
-        recipient: bytes | None,
-        payload: messages.Payload,
-        timestamp: int | None = None,
+        self, account: Account, recipient: bytes | None, payload: messages.Payload
     ) -> TxReceipt:
-        """Authenticate, execute and append atomically.
+        """Authenticate, stamp with the clock, execute and append atomically.
 
         A failing execution leaves the log untouched and re-raises; the
         logged history therefore contains only successful transactions.
@@ -121,7 +117,7 @@ class Ledger:
                 raise AuthFailure("auth secret does not derive the sender address")
             tx = Transaction(
                 index=len(self._log),
-                timestamp=self._clock if timestamp is None else timestamp,
+                timestamp=self._clock,
                 sender=account.address,
                 recipient=recipient,
                 payload=payload,
@@ -130,6 +126,7 @@ class Ledger:
 
     def _apply(self, tx: Transaction):
         """Execute one transaction and append it; a failure appends nothing."""
+        # submit stamps the clock; only a replayed transcript can regress
         if tx.timestamp < self._clock:
             raise ClockViolation(f"timestamp {tx.timestamp} behind clock {self._clock}")
         result = self._execute(tx)

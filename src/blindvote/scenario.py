@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import messages
@@ -46,6 +46,9 @@ from .rng import as_rng, spawn
 
 VOTER_KINDS = ("honest", "careless", "unlisted")
 
+#: The phase-window fields, nested under "windows" in a config document.
+WINDOWS = ("st", "ct", "et")
+
 #: Second enumeration-scale keypair so sealed toy elections do not reuse
 #: the signing modulus.
 TOY_SEALING_KEYPAIR = keypair_from_primes(67, 71, 17)
@@ -78,6 +81,11 @@ class VoterSpec:
         return self.chances if self.votes is None else self.votes
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON's true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class ScenarioConfig:
     st: int
@@ -90,33 +98,36 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         problems = []
-        for name in ("st", "ct", "et", "seed"):
-            if not isinstance(getattr(self, name), int):
+        for name in (*WINDOWS, "seed"):
+            if not _is_int(getattr(self, name)):
                 problems.append(f"{name}: must be an integer")
         if not problems and not 0 <= self.st < self.ct < self.et:
             problems.append(
                 f"windows: need 0 <= st < ct < et, got {self.st}/{self.ct}/{self.et}"
             )
+        if not isinstance(self.sealed, bool):
+            problems.append("sealed: must be true or false")
         if not self.voters:
             problems.append("voters: at least one required")
         names = set()
         for i, v in enumerate(self.voters):
             where = f"voters[{i}]"
-            if not v.name:
-                problems.append(f"{where}.name: empty")
-            if v.name in names:
+            if not isinstance(v.name, str) or not v.name:
+                problems.append(f"{where}.name: must be a non-empty string")
+            elif v.name in names:
                 problems.append(f"{where}.name: duplicate {v.name!r}")
-            names.add(v.name)
-            if not v.ballot:
-                problems.append(f"{where}.ballot: empty")
-            if not isinstance(v.chances, int) or v.chances < 1:
+            else:
+                names.add(v.name)
+            if not isinstance(v.ballot, str) or not v.ballot:
+                problems.append(f"{where}.ballot: must be a non-empty string")
+            if not _is_int(v.chances) or v.chances < 1:
                 problems.append(f"{where}.chances: must be an integer >= 1")
-            if v.votes is not None and (not isinstance(v.votes, int) or v.votes < 0):
+            if v.votes is not None and (not _is_int(v.votes) or v.votes < 0):
                 problems.append(f"{where}.votes: must be an integer >= 0")
             if v.kind not in VOTER_KINDS:
                 problems.append(f"{where}.kind: {v.kind!r} not in {VOTER_KINDS}")
         if self.key_bits is not None and (
-            not isinstance(self.key_bits, int) or self.key_bits < 16
+            not _is_int(self.key_bits) or self.key_bits < 16
         ):
             problems.append("key_bits: must be null or an integer >= 16")
         if problems:
@@ -124,60 +135,35 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
+        """Build and validate a config; absent keys take the field defaults."""
         if not isinstance(doc, dict):
             raise ConfigInvalid("config document must be an object")
-        known = {"windows", "voters", "sealed", "key_bits", "seed"}
+        known = set(cls.__dataclass_fields__) - set(WINDOWS) | {"windows"}
         unknown = set(doc) - known
         if unknown:
             raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
         windows = doc.get("windows")
-        if not isinstance(windows, dict) or set(windows) != {"st", "ct", "et"}:
+        if not isinstance(windows, dict) or set(windows) != set(WINDOWS):
             raise ConfigInvalid("windows: object with st, ct, et required")
+        entries = doc.get("voters") or []
+        if not isinstance(entries, list):
+            raise ConfigInvalid("voters: must be a list")
         voters = []
-        for i, entry in enumerate(doc.get("voters") or []):
+        for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 raise ConfigInvalid(f"voters[{i}]: must be an object")
-            extra = set(entry) - {"name", "ballot", "chances", "kind", "votes"}
-            if extra:
-                raise ConfigInvalid(f"voters[{i}]: unknown keys {sorted(extra)}")
-            voters.append(
-                VoterSpec(
-                    name=entry.get("name", ""),
-                    ballot=entry.get("ballot", ""),
-                    chances=entry.get("chances", 1),
-                    kind=entry.get("kind", "honest"),
-                    votes=entry.get("votes"),
-                )
-            )
-        config = cls(
-            st=windows["st"],
-            ct=windows["ct"],
-            et=windows["et"],
-            voters=voters,
-            sealed=bool(doc.get("sealed", False)),
-            key_bits=doc.get("key_bits"),
-            seed=doc.get("seed", 0),
-        )
+            try:
+                voters.append(VoterSpec(**entry))
+            except TypeError as exc:  # an unknown key, or name or ballot missing
+                raise ConfigInvalid(f"voters[{i}]: {exc}") from None
+        options = {k: v for k, v in doc.items() if k not in ("windows", "voters")}
+        config = cls(**windows, voters=voters, **options)
         config.validate()
         return config
 
     def to_dict(self) -> dict:
-        return {
-            "windows": {"st": self.st, "ct": self.ct, "et": self.et},
-            "seed": self.seed,
-            "sealed": self.sealed,
-            "key_bits": self.key_bits,
-            "voters": [
-                {
-                    "name": v.name,
-                    "ballot": v.ballot,
-                    "chances": v.chances,
-                    "kind": v.kind,
-                    "votes": v.votes,
-                }
-                for v in self.voters
-            ],
-        }
+        doc = asdict(self)
+        return {"windows": {k: doc.pop(k) for k in WINDOWS}, **doc}
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ScenarioConfig":
@@ -332,7 +318,6 @@ class Election:
         self.offchain_tally: Counter | None = None
         self.sealed_peek_raised: bool | None = None
         self.sealed_leaks: list[str] = []
-        self.published = False
         # adversarial casts injected outside the voter workflow
         self.adversary_cast_results: list[bool] = []
 
@@ -403,7 +388,7 @@ class Election:
         self.adversary_cast_results.append(result)
         return result
 
-    def count_stage(self, publish: bool = True) -> None:
+    def count_stage(self) -> None:
         self.ledger.advance_clock(self.config.et)
         if self.config.sealed:
             # the pre-publication peek every sealed run gets probed with
@@ -413,16 +398,11 @@ class Election:
             except ResultSealed:
                 self.sealed_peek_raised = True
             self.sealed_leaks = self._scan_plaintext(self.ledger.export())
-            if publish:
-                self.organizer.publish_result(self.ledger)
-                self.published = True
-        if not self.config.sealed or self.published:
-            observer = create_account(self.rng)
-            receipt = self.ledger.submit(
-                observer, self.contract_address, messages.Tally()
-            )
-            self.onchain_tally = receipt.result
-            _, self.offchain_tally = recount(replay(self.ledger.log))
+            self.organizer.publish_result(self.ledger)
+        observer = create_account(self.rng)
+        receipt = self.ledger.submit(observer, self.contract_address, messages.Tally())
+        self.onchain_tally = receipt.result
+        self.offchain_tally = recount(replay(self.ledger.log))
 
     def _scan_plaintext(self, transcript: str) -> list[str]:
         """Plaintext ballot bytes that leak into a sealed transcript.
@@ -689,7 +669,7 @@ def _correctness_row(election: Election) -> AssertionRow:
 
 # --- transcript utilities ------------------------------------------------------------------
 
-def recount(ledger: Ledger) -> tuple[bytes, Counter]:
+def recount(ledger: Ledger) -> Counter:
     """Off-chain recount over a (replayed) ledger's single election.
 
     Ignores phase windows: anyone holding the transcript counts the box.
@@ -699,8 +679,8 @@ def recount(ledger: Ledger) -> tuple[bytes, Counter]:
     contracts = ledger.contracts
     if len(contracts) != 1:
         raise ParseError(f"expected exactly one contract, found {len(contracts)}")
-    (address, contract), = contracts.items()
-    return address, contract.count()
+    (contract,) = contracts.values()
+    return contract.count()
 
 
 def check_transcript(text: str, expected_results=None) -> tuple[list[Transaction], Ledger]:
@@ -741,7 +721,7 @@ def verify_transcript(
         return TranscriptCheck(False, str(exc), index=exc.index)
     tally_hex = None
     try:
-        tally_hex = hex_tally(recount(replayed)[1])
+        tally_hex = hex_tally(recount(replayed))
     except ResultSealed:
         pass
     except (ParseError, ValueError) as exc:

@@ -96,6 +96,13 @@ class TestOrganizerSign:
         organizer.decide_sign(alice.address, 1, clock=10)
         assert organizer.decide_sign(alice.address, 2, clock=10) == REFUSED
 
+    @pytest.mark.parametrize("blinded", [0, TOY.n, TOY.n + 1234])
+    def test_out_of_range_refused_free(self, world, blinded):
+        _, organizer, _, alice, _ = world
+        assert organizer.decide_sign(alice.address, blinded, clock=10) == REFUSED
+        assert organizer.permissions.chance(alice.address) == 1
+        assert organizer.issued == 0
+
     @pytest.mark.parametrize("clock", [9, 20, 25])
     def test_out_of_window(self, world, clock):
         _, organizer, _, alice, _ = world

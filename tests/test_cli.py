@@ -1,4 +1,4 @@
-"""CLI verbs, exit codes, and the seed override chain."""
+"""CLI verbs, exit codes, and the seed override."""
 
 import json
 import os
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from blindvote.cli import main
-from blindvote.blindsig import load_key
+from blindvote.blindsig import TOY_KEYPAIR, load_key
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,30 +52,50 @@ class TestRun:
         assert main(["run", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sealed", "false"),
+            ("sealed", 1),
+            ("seed", True),
+            ("key_bits", True),
+            ("windows.st", True),
+            ("voters", 5),
+            ("voters.0.name", 5),
+            ("voters.0.ballot", 5),
+            ("voters.0.chances", True),
+            ("voters.0.votes", False),
+        ],
+    )
+    def test_wrong_json_type_exits_two(self, tmp_path, honest_config, capsys, key, value):
+        doc = honest_config.to_dict()
+        *path, last = key.split(".")
+        target = doc
+        for part in path:
+            target = target[int(part) if part.isdigit() else part]
+        target[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and last in err
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["run", "/nonexistent/cfg.json"]) == 2
 
 
 class TestSeedOverride:
-    def _transcript(self, tmp_path, config_path, extra, name, monkeypatch, env=None):
-        monkeypatch.delenv("BLINDVOTE_SEED", raising=False)
-        if env is not None:
-            monkeypatch.setenv("BLINDVOTE_SEED", env)
+    def _transcript(self, tmp_path, config_path, extra, name):
         out = tmp_path / name
         main(["run", config_path, "--out", str(out), *extra])
         return (out / "transcript.log").read_text()
 
-    def test_env_overrides_config(self, tmp_path, config_path, monkeypatch):
-        base = self._transcript(tmp_path, config_path, [], "a", monkeypatch)
-        other = self._transcript(tmp_path, config_path, [], "b", monkeypatch, env="777")
+    def test_flag_overrides_config(self, tmp_path, config_path):
+        base = self._transcript(tmp_path, config_path, [], "a")
+        other = self._transcript(tmp_path, config_path, ["--seed", "777"], "b")
+        same = self._transcript(tmp_path, config_path, ["--seed", "42"], "c")
         assert base != other
-
-    def test_flag_overrides_env(self, tmp_path, config_path, monkeypatch):
-        flagged = self._transcript(
-            tmp_path, config_path, ["--seed", "42"], "c", monkeypatch, env="777"
-        )
-        base = self._transcript(tmp_path, config_path, [], "d", monkeypatch)
-        assert flagged == base  # config seed is 42; the flag restored it
+        assert same == base  # config seed is 42
 
 
 class TestAttack:
@@ -175,6 +195,23 @@ class TestDivergentTranscripts:
             )
             assert done.returncode == 1, done.stderr
             assert done.stdout.startswith("DIVERGENCE at index 0:")
+
+    def test_signature_plus_modulus(self, tmp_path, capsys):
+        # s + n passes s^e == m mod n as s does; only the [1, n) rule refuses it
+        out = tmp_path / "honest"
+        config = str(ROOT / "configs" / "honest-10.json")
+        assert main(["run", config, "--seed", "42", "--out", str(out)]) == 0
+        capsys.readouterr()
+        transcript = out / "transcript.log"
+
+        def plus_n(sig):
+            return format(int(sig, 16) + TOY_KEYPAIR.n, "x")
+
+        assert self._edit_first(transcript, "cast", 0, plus_n) == 31
+        assert main(["verify", str(transcript), "--report", str(out / "report.json")]) == 1
+        assert capsys.readouterr().out == (
+            "DIVERGENCE: recomputed tally disagrees with the report\n"
+        )
 
     def test_non_canonical_line_named(self, transcript, capsys):
         index = self._edit_first(transcript, "cast", 1, str.upper)

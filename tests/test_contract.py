@@ -108,6 +108,11 @@ class TestCheckSignature:
         c = make_contract()
         assert not c.check_signature(0, 1234, clock=15)
 
+    def test_signature_plus_modulus_false(self):
+        c = make_contract()
+        blinded = 1234
+        assert not c.check_signature(sign_blinded(blinded, TOY) + TOY.n, blinded, clock=10)
+
     def test_stateless(self):
         c = make_contract()
         c.check_signature(sign_blinded(9, TOY), 9, clock=15)
@@ -151,6 +156,12 @@ class TestCast:
         c = make_contract()
         uuid = uuid_of(4)
         assert c.cast(signed_ballot(b"A", uuid), b"B", uuid, clock=20) is False
+
+    def test_signature_plus_modulus_rejected(self):
+        c = make_contract()
+        uuid = uuid_of(6)
+        assert c.cast(signed_ballot(b"A", uuid) + TOY.n, b"A", uuid, clock=20) is False
+        assert c.ballot_box == {}
 
     def test_malformed_uuid_rejected_not_raised(self):
         c = make_contract()

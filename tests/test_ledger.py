@@ -78,23 +78,15 @@ class TestSubmit:
 
     def test_equal_timestamps_ordered_by_submission(self, ledger, alice, bob):
         ledger.advance_clock(5)
-        ledger.submit(alice, bob.address, messages.SignRequest(1), timestamp=5)
-        ledger.submit(bob, alice.address, messages.SignRequest(2), timestamp=5)
+        ledger.submit(alice, bob.address, messages.SignRequest(1))
+        ledger.submit(bob, alice.address, messages.SignRequest(2))
         assert [tx.payload.blinded for tx in ledger.log] == [1, 2]
-
-    def test_timestamp_regression_rejected(self, ledger, alice, bob):
-        ledger.advance_clock(5)
-        with pytest.raises(ClockViolation):
-            ledger.submit(alice, bob.address, messages.SignRequest(1), timestamp=4)
+        assert [tx.timestamp for tx in ledger.log] == [5, 5]
 
     def test_timestamp_at_clock_accepted(self, ledger, alice, bob):
         ledger.advance_clock(5)
-        ledger.submit(alice, bob.address, messages.SignRequest(1), timestamp=5)
+        ledger.submit(alice, bob.address, messages.SignRequest(1))
         assert ledger.log[0].timestamp == 5
-
-    def test_future_timestamp_advances_clock(self, ledger, alice, bob):
-        ledger.submit(alice, bob.address, messages.SignRequest(1), timestamp=9)
-        assert ledger.clock == 9
 
     def test_plain_message_has_no_result(self, ledger, alice, bob):
         receipt = ledger.submit(alice, bob.address, messages.SignRequest(7))
@@ -122,9 +114,9 @@ class TestAppendOnly:
 
     def test_timestamps_non_decreasing(self, ledger, alice, bob):
         for ts in (0, 0, 3, 3, 7):
-            ledger.submit(alice, bob.address, messages.SignRequest(1), timestamp=ts)
-        stamps = [tx.timestamp for tx in ledger.log]
-        assert stamps == sorted(stamps)
+            ledger.advance_clock(ts)
+            ledger.submit(alice, bob.address, messages.SignRequest(1))
+        assert [tx.timestamp for tx in ledger.log] == [0, 0, 3, 3, 7]
 
 
 class TestDeploy:
@@ -302,6 +294,12 @@ class TestReplay:
         with pytest.raises(ReplayDivergence) as exc:
             replay(txs)
         assert exc.value.index == len(txs) - 1
+
+    def test_future_timestamp_advances_clock(self):
+        txs = import_log(self._scenario().export())
+        last = txs[-1]
+        txs[-1] = Transaction(last.index, 99, last.sender, last.recipient, last.payload)
+        assert replay(txs).clock == 99
 
 
 class TestConcurrency:

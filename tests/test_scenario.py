@@ -241,7 +241,7 @@ class TestTranscripts:
     def test_recount_matches_onchain(self, honest_config):
         election = Election(honest_config)
         election.run()
-        _, offchain = recount(replay(import_log(election.ledger.export())))
+        offchain = recount(replay(import_log(election.ledger.export())))
         assert offchain == election.onchain_tally
 
     def test_recount_sealed_unpublished_raises(self, small_config):
