@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import messages
-from .actors import prove_receipt, verify_receipt, voter_cast
+from .actors import voter_cast
 from .blindsig import ballot_digest, fdh, new_uuid
 from .errors import ConfigInvalid, ElectionOpen, UnknownAttack
 from .ledger import create_account
@@ -22,14 +22,11 @@ from .scenario import AttackOutcome, Election, RunReport, ScenarioConfig, VoterS
 FORGERY_TRIALS = 1000
 
 
-def _first_accepted(election: Election):
-    for v in election.voters:
-        if v.spec.kind != "honest":
-            continue
-        for state, ok in zip(v.states, v.cast_results):
-            if ok:
-                return state
-    raise ConfigInvalid("attack needs at least one honest voter whose cast lands")
+def _first_landed(election: Election):
+    landed = election.landed_honest
+    if not landed:
+        raise ConfigInvalid("attack needs at least one honest voter whose cast lands")
+    return landed[0]
 
 
 def _voted(config: ScenarioConfig) -> Election:
@@ -44,7 +41,7 @@ def _voted(config: ScenarioConfig) -> Election:
 def double_vote(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
     """Recast an already-counted ballot from a fresh anonymous account."""
     e = _voted(config)
-    state = _first_accepted(e)
+    state = _first_landed(e)
     second = voter_cast(state, e.ledger, e.contract_address, e.rng)
     e.adversary_cast_results.append(second)
     e.count_stage()
@@ -61,7 +58,7 @@ def double_vote(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
 def replay_cast(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
     """Eavesdropper resubmits an accepted cast transaction verbatim."""
     e = _voted(config)
-    state = _first_accepted(e)
+    state = _first_landed(e)
     eavesdropper = create_account(e.rng)
     payload = messages.Cast(signed=state.signed, ballot=state.ballot, uuid=state.uuid)
     receipt = e.ledger.submit(eavesdropper, e.contract_address, payload)
@@ -135,17 +132,7 @@ def receipt_prove(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
     """Voters hand (ballot, uuid, r, response index) to a third party."""
     e = Election(config)
     e.run()
-    proven = 0
-    total = 0
-    for v in e.voters:
-        if v.spec.kind != "honest":
-            continue
-        for state, ok in zip(v.states, v.cast_results):
-            if not ok:
-                continue
-            total += 1
-            if verify_receipt(prove_receipt(state), e.ledger, e.contract):
-                proven += 1
+    proven, total = e.verified_receipts()
     return e, AttackOutcome(
         name="receipt-prove",
         property_exercised="receipt-freeness",
@@ -182,13 +169,12 @@ def sealed_peek(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
         config = replace(config, sealed=True)
     e = Election(config)
     e.run()  # count_stage probes the pre-publication tally and scans for leaks
-    succeeded = (e.sealed_peek_raised is False) or bool(e.sealed_leaks)
     return e, AttackOutcome(
         name="sealed-peek",
         property_exercised="fairness",
-        succeeded=succeeded,
+        succeeded=bool(e.fairness_problems),
         expected_success=False,
-        detail="; ".join(e.sealed_leaks) or "only ciphertexts visible before publication",
+        detail="; ".join(e.fairness_problems) or "only ciphertexts visible before publication",
     )
 
 

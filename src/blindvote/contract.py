@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import messages
-from .blindsig import PublicKey, ballot_digest, fdh
+from .blindsig import PublicKey, ballot_digest, verify
 from .errors import (
     BadWindow,
     ElectionOpen,
@@ -62,22 +62,13 @@ class ElectionParams:
             raise ValueError("a modulus must be at least 2")
 
 
+@dataclass
 class ElectionContract:
     """Deterministic contract instance addressed by the ledger."""
 
-    def __init__(self, params: ElectionParams):
-        self.params = params
-        self.ballot_box: dict[bytes, bytes] = {}
-        self.published_sealing_d: int | None = None
-
-    def __eq__(self, other):
-        if not isinstance(other, ElectionContract):
-            return NotImplemented
-        return (
-            self.params == other.params
-            and self.ballot_box == other.ballot_box
-            and self.published_sealing_d == other.published_sealing_d
-        )
+    params: ElectionParams
+    ballot_box: dict[bytes, bytes] = field(default_factory=dict)
+    published_sealing_d: int | None = None
 
     # -- call dispatch (used by the ledger) -----------------------------------
 
@@ -114,8 +105,7 @@ class ElectionContract:
             raise OutOfWindow(f"cast at clock {clock}, window [{p.ct}, {p.et})")
         if len(uuid) != 16 or uuid in self.ballot_box or not 0 < signed < p.pk.n:
             return False
-        expected = fdh(ballot_digest(ballot, uuid), p.pk.n)
-        if pow(signed, p.pk.e, p.pk.n) != expected:
+        if not verify(signed, ballot_digest(ballot, uuid), p.pk):
             return False
         self.ballot_box[uuid] = ballot
         return True
@@ -139,16 +129,24 @@ class ElectionContract:
         return self.count()
 
     def count(self) -> Counter:
-        """Multiset of stored ballots, decrypted in sealed mode; no window."""
+        """Multiset of stored ballots, decrypted in sealed mode; no window.
+
+        A sealed entry that does not unseal is spoiled and not counted: the
+        organizer signs blind, so any eligible voter can get a payload that
+        is no ciphertext accepted.
+        """
         p = self.params
         if not p.sealed:
             return Counter(self.ballot_box.values())
         if self.published_sealing_d is None:
             raise ResultSealed("sealing key not published")
-        return Counter(
-            unseal_ballot(entry, p.sealing_pk.n, self.published_sealing_d)
-            for entry in self.ballot_box.values()
-        )
+        tally = Counter()
+        for entry in self.ballot_box.values():
+            try:
+                tally[unseal_ballot(entry, p.sealing_pk.n, self.published_sealing_d)] += 1
+            except ValueError:
+                pass
+        return tally
 
 
 # --- sealed-mode ballot encryption --------------------------------------------

@@ -183,9 +183,9 @@ class VoterRun:
     states: list[VoterState] = field(default_factory=list)
     refusals: int = 0
     check_failures: int = 0
-    cast_results: list[bool] = field(default_factory=list)
+    landed: list[VoterState] = field(default_factory=list)  # casts the contract accepted
+    rejected: int = 0  # signed casts the contract turned down
     junk_results: list[bool] = field(default_factory=list)
-    accepted_plains: list[bytes] = field(default_factory=list)
 
     @property
     def granted(self) -> int:
@@ -193,7 +193,7 @@ class VoterRun:
 
     @property
     def accepted(self) -> int:
-        return sum(self.cast_results)
+        return len(self.landed)
 
     @property
     def listed(self) -> bool:
@@ -316,8 +316,7 @@ class Election:
         # populated by count_stage
         self.onchain_tally: Counter | None = None
         self.offchain_tally: Counter | None = None
-        self.sealed_peek_raised: bool | None = None
-        self.sealed_leaks: list[str] = []
+        self.fairness_problems: list[str] = []
         # adversarial casts injected outside the voter workflow
         self.adversary_cast_results: list[bool] = []
 
@@ -365,16 +364,16 @@ class Election:
                     if v.spec.kind == "unlisted":
                         v.junk_results.append(self._junk_cast(state))
                     continue
-                ok = voter_cast(
+                if voter_cast(
                     state,
                     self.ledger,
                     self.contract_address,
                     self.rng,
                     anonymous=(v.spec.kind != "careless"),
-                )
-                v.cast_results.append(ok)
-                if ok:
-                    v.accepted_plains.append(state.plain_ballot)
+                ):
+                    v.landed.append(state)
+                else:
+                    v.rejected += 1
 
     def _junk_cast(self, state: VoterState) -> bool:
         """Unsigned adversary casts with a guessed signature value."""
@@ -394,10 +393,10 @@ class Election:
             # the pre-publication peek every sealed run gets probed with
             try:
                 self.contract.tally(self.ledger.clock)
-                self.sealed_peek_raised = False
+                self.fairness_problems.append("tally was readable before key publication")
             except ResultSealed:
-                self.sealed_peek_raised = True
-            self.sealed_leaks = self._scan_plaintext(self.ledger.export())
+                pass
+            self.fairness_problems += self._scan_plaintext(self.ledger.export())
             self.organizer.publish_result(self.ledger)
         observer = create_account(self.rng)
         receipt = self.ledger.submit(observer, self.contract_address, messages.Tally())
@@ -438,6 +437,21 @@ class Election:
         self.vote_stage()
         self.count_stage()
 
+    @property
+    def landed_honest(self) -> list[VoterState]:
+        """Honest voters' states whose cast landed in the box, in voter order."""
+        return [s for v in self.voters if v.spec.kind == "honest" for s in v.landed]
+
+    def verified_receipts(self) -> tuple[int, int]:
+        """(verified, total) third-party receipts over the landed honest ballots."""
+        landed = self.landed_honest
+        verified = sum(
+            1
+            for state in landed
+            if verify_receipt(prove_receipt(state), self.ledger, self.contract)
+        )
+        return verified, len(landed)
+
     # -- reporting -----------------------------------------------------------
 
     def build_report(self, attack: AttackOutcome | None = None) -> RunReport:
@@ -445,7 +459,7 @@ class Election:
         return RunReport(
             seed=self.config.seed,
             tally_hex=hex_tally(self.onchain_tally or Counter()),
-            assertions=evaluate_assertions(self),
+            assertions=evaluate_assertions(self, transcript),
             voters=[
                 {
                     "name": v.spec.name,
@@ -456,8 +470,7 @@ class Election:
                     "refusals": v.refusals,
                     "check_failures": v.check_failures,
                     "accepted_casts": v.accepted,
-                    "rejected_casts": len(v.cast_results) - v.accepted
-                    + len(v.junk_results) - sum(v.junk_results),
+                    "rejected_casts": v.rejected + len(v.junk_results) - sum(v.junk_results),
                 }
                 for v in self.voters
             ],
@@ -469,12 +482,13 @@ class Election:
 
 # --- the security-property battery -------------------------------------------------------
 
-def evaluate_assertions(election: Election) -> list[AssertionRow]:
+def evaluate_assertions(election: Election, transcript: str) -> list[AssertionRow]:
+    """Grade the run; ``transcript`` is the ledger's export."""
     rows = [
         _privacy_row(election),
         _receipt_row(election),
         _robustness_row(election),
-        _verifiability_row(election),
+        _verifiability_row(election, transcript),
         _eligibility_row(election),
         _pmv_row(election),
     ]
@@ -503,16 +517,16 @@ def _privacy_row(election: Election) -> AssertionRow:
     # exact-match scan of the sign-stage transcript for voter-local values;
     # at the toy modulus 3-hex-char values collide by chance, so blinding
     # factors only count as leaks at real key sizes
-    secret_hex = []
+    secret_hex = set()
     for v in election.voters:
         for state in v.states:
-            secret_hex.append(state.uuid.hex())
+            secret_hex.add(state.uuid.hex())
             if election.key.n.bit_length() >= 64:
-                secret_hex.append(int_to_hex(state.r))
+                secret_hex.add(int_to_hex(state.r))
     for tx in election.ledger.log:
         if isinstance(tx.payload, (messages.SignRequest, messages.SignResponse, messages.Check)):
             fields = messages.encode_payload(tx.payload)[1:]
-            if any(s in fields for s in secret_hex):
+            if not secret_hex.isdisjoint(fields):
                 problems.append(f"voter-local value surfaced at index {tx.index}")
     if election.key.n == TOY_KEYPAIR.n and not problems:
         if not _toy_unlinkability(election):
@@ -558,21 +572,7 @@ def _toy_unlinkability(election: Election) -> bool:
 
 
 def _receipt_row(election: Election) -> AssertionRow | None:
-    receipts = 0
-    verified = 0
-    for v in election.voters:
-        if v.spec.kind != "honest":
-            continue
-        for state in v.states:
-            if state.sign_tx_index is None:
-                continue
-            if election.contract.ballot_box.get(state.uuid) != state.ballot:
-                continue  # cast never landed; nothing to prove
-            receipts += 1
-            if verify_receipt(
-                prove_receipt(state), election.ledger, election.contract
-            ):
-                verified += 1
+    verified, receipts = election.verified_receipts()
     if receipts == 0:
         return None  # no completed honest voter: row not applicable
     return _row(
@@ -598,9 +598,9 @@ def _robustness_row(election: Election) -> AssertionRow:
     return _row("robustness", not problems, "; ".join(problems))
 
 
-def _verifiability_row(election: Election) -> AssertionRow:
+def _verifiability_row(election: Election, transcript: str) -> AssertionRow:
     try:
-        _, replayed = check_transcript(election.ledger.export(), election.ledger.results)
+        _, replayed = check_transcript(transcript, election.ledger.results)
     except (ParseError, ReplayDivergence) as exc:
         return _row("verifiability", False, f"replay failed: {exc}")
     if replayed.contracts != election.ledger.contracts:
@@ -644,17 +644,12 @@ def _pmv_row(election: Election) -> AssertionRow:
 
 
 def _fairness_row(election: Election) -> AssertionRow:
-    problems = []
-    if election.sealed_peek_raised is False:
-        problems.append("tally was readable before key publication")
-    problems += election.sealed_leaks
+    problems = election.fairness_problems
     return _row("fairness", not problems, "; ".join(problems))
 
 
 def _correctness_row(election: Election) -> AssertionRow:
-    accepted = Counter()
-    for v in election.voters:
-        accepted.update(v.accepted_plains)
+    accepted = Counter(s.plain_ballot for v in election.voters for s in v.landed)
     tally = election.onchain_tally
     if tally is None:
         return _row("correctness", False, "tally unavailable")
@@ -713,7 +708,8 @@ def verify_transcript(
 
     Any structural break (bad line, index gap, failing execution) and any
     tally or length mismatch against the report counts as divergence. A
-    sealed transcript whose key was never published has no tally.
+    sealed transcript whose key was never published has no tally. A report
+    that is not a JSON object raises ValueError.
     """
     try:
         txs, replayed = check_transcript(Path(transcript_path).read_text())
@@ -728,6 +724,8 @@ def verify_transcript(
         return TranscriptCheck(False, f"recount: {exc}")
     if report_path is not None:
         doc = json.loads(Path(report_path).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError("report is not a JSON object")
         if doc.get("tx_count") != len(txs):
             return TranscriptCheck(
                 False,

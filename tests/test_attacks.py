@@ -1,7 +1,9 @@
 """The named attacks behave per the security table: all contained except
 the receipt proof, which must keep succeeding."""
 
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -88,3 +90,12 @@ def test_attack_writes_artifacts(tmp_path, small_config):
     doc = (tmp_path / "report.json").read_text()
     assert '"attack"' in doc
     assert report.report_path == str(tmp_path / "report.json")
+
+
+def test_attack_sweep_script_exits_zero(capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "attack_sweep.py"
+    spec = importlib.util.spec_from_file_location("attack_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.main() == 0
+    assert "UNEXPECTED" not in capsys.readouterr().out

@@ -136,6 +136,14 @@ class TestVerifyAndTally:
         assert main(["verify", str(path)]) == 1
         assert "DIVERGENCE" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ["[]", '"report"', "{"])
+    def test_verify_report_not_an_object_exits_two(self, election_dir, capsys, text):
+        report = election_dir / "report.json"
+        report.write_text(text)
+        assert main(["verify", str(election_dir / "transcript.log"), "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_tally_output(self, election_dir, capsys):
         assert main(["tally", str(election_dir / "transcript.log")]) == 0
         out = capsys.readouterr().out

@@ -234,6 +234,14 @@ class TestSealedMode:
         with pytest.raises(NotSealed):
             make_contract().publish_key(SEALING.n, SEALING.d, clock=30)
 
+    def test_entry_that_does_not_unseal_is_spoiled(self):
+        c, expected = self._with_sealed_casts()
+        for i, junk in enumerate([b"NOT-A-CIPHERTEXT", bytes(200)], start=10):
+            uuid = uuid_of(i)
+            assert c.cast(signed_ballot(junk, uuid), junk, uuid, clock=20)
+        c.publish_key(SEALING.n, SEALING.d, clock=30)
+        assert c.tally(clock=30) == expected
+
     def test_box_holds_only_ciphertext(self):
         c, _ = self._with_sealed_casts()
         for entry in c.ballot_box.values():

@@ -3,9 +3,9 @@
 Each case runs an election (or an attack) and writes its artifacts; the
 hashes below pin both files. A refactor that changes no behaviour leaves
 every hash in place. Cases: every shipped config, the seven attacks on
-configs/adversarial.json, and a seeded set of random configs mixing
-honest, careless and unlisted voters, sealed and unsealed, toy keys plus
-one 128-bit key.
+configs/adversarial.json and on configs/sealed.json, and a seeded set of
+random configs mixing honest, careless and unlisted voters, sealed and
+unsealed, toy keys plus one 128-bit key.
 """
 
 import hashlib
@@ -45,8 +45,10 @@ def _cases():
     for path in sorted(CONFIGS.glob("*.json")):
         yield f"config-{path.stem}", None, ScenarioConfig.from_json_file(path)
     adversarial = ScenarioConfig.from_json_file(CONFIGS / "adversarial.json")
+    sealed = ScenarioConfig.from_json_file(CONFIGS / "sealed.json")
     for name in sorted(ATTACKS):
         yield f"attack-{name}", name, adversarial
+        yield f"attack-{name}-sealed", name, sealed
     for case in range(RANDOM_CASES):
         yield f"random-{case:02d}", None, random_config(case)
 
@@ -75,6 +77,15 @@ GOLDEN = {
     "attack-receipt-prove": ("776b08db282e8413", "fb5ee1f3b76d9145"),
     "attack-replay-cast": ("e3de1be5a4944513", "2d3d1f7d818e80ba"),
     "attack-sealed-peek": ("42f196485bab1df8", "bb81c59aa6e75dbf"),
+    "attack-double-vote-sealed": ("a65ac5b9335781ac", "c3ca60274ceb475c"),
+    "attack-early-tally-sealed": ("52f1b7a18e18050e", "741d8238fac260db"),
+    # recorded after the fix that spoils a sealed entry that does not unseal;
+    # before it, a guessed signature landing on FORGED-CHOICE crashed the Tally
+    "attack-forge-signature-sealed": ("f910d8697848634c", "da6380b8079e17aa"),
+    "attack-ineligible-sealed": ("ca21385732b27626", "a2234640ccd02b18"),
+    "attack-receipt-prove-sealed": ("cbf8a748fb279698", "3de1998f6be94336"),
+    "attack-replay-cast-sealed": ("a65ac5b9335781ac", "c78891115d7e2dbb"),
+    "attack-sealed-peek-sealed": ("cbf8a748fb279698", "3edfd63ac6a5a67a"),
     "random-00": ("858f305fd60770b0", "10387c4118b35c97"),
     "random-01": ("fc6e1992b142ce1e", "bf8a851581ec40cf"),
     "random-02": ("f6601f9406109a17", "d64a2c7eb032fc99"),

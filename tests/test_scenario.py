@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from blindvote import messages
+from blindvote.actors import voter_cast, voter_obtain_signature, voter_prepare
 from blindvote.errors import ConfigInvalid, ResultSealed
 from blindvote.ledger import create_account, import_log, replay
 from blindvote.scenario import (
@@ -185,7 +186,7 @@ class TestSealedRun:
         cfg = ScenarioConfig(st=10, ct=20, et=30, voters=voters, sealed=True, seed=1)
         election = Election(cfg)
         election.run()
-        assert election.sealed_leaks == []
+        assert election.fairness_problems == []
         report = election.build_report()
         fairness = next(row for row in report.assertions if row.prop == "fairness")
         assert fairness.observed == "holds"
@@ -198,7 +199,31 @@ class TestSealedRun:
         cast = messages.Cast(signed=1, ballot=b"A", uuid=bytes(16))
         election.ledger.submit(create_account(99), election.contract_address, cast)
         election.count_stage()
-        assert election.sealed_leaks == ["a: ballot bytes inside a cast payload"]
+        assert election.fairness_problems == ["a: ballot bytes inside a cast payload"]
+
+    def test_ballot_that_does_not_unseal_is_spoiled(self, tmp_path, small_config):
+        # the organizer signs blind, so a listed voter can get a payload that
+        # is no ciphertext signed and cast; the Tally counts the other ballots
+        dave = VoterSpec("dave", "ALPHA", chances=2, votes=1)
+        cfg = replace(small_config, sealed=True, voters=small_config.voters + [dave])
+        election = Election(cfg)
+        election.setup_stage()
+        election.sign_stage()
+        junk = voter_prepare(
+            b"NOT-A-CIPHERTEXT", election.rng, election.key.public, election.voters[-1].account
+        )
+        voter_obtain_signature(
+            junk, election.ledger, election.contract_address, election.organizer
+        )
+        election.vote_stage()
+        assert voter_cast(junk, election.ledger, election.contract_address, election.rng)
+        election.count_stage()
+        assert election.onchain_tally == Counter({b"ALPHA": 3, b"BETA": 1})
+        report = election.build_report()
+        report.write(tmp_path)
+        check = verify_transcript(report.transcript_path, report.report_path)
+        assert check.ok
+        assert check.tally_hex == report.tally_hex
 
     def test_transcript_carries_no_plaintext(self, small_config):
         cfg = replace(small_config, sealed=True)
