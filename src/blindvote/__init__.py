@@ -13,6 +13,7 @@ from .blindsig import (
     PublicKey,
     ballot_digest,
     blind,
+    factor_modulus,
     fdh,
     hash_ballot,
     keygen,

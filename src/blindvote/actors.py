@@ -120,24 +120,26 @@ class Organizer:
     def decide_sign(self, sender: bytes, blinded: int, clock: int) -> int:
         """Sign-or-refuse: listed sender with budget gets blinded^d, else 0.
 
-        A blinded value outside [1, n) is refused and costs no budget.
+        A blinded value outside [1, n) is refused, and so is a signature
+        that fails its own check; neither costs budget.
         """
         if self._windows is None:
             raise RuntimeError("setup() has not run")
         st, ct = self._windows
         if not st <= clock < ct:
             raise OutOfWindow(f"sign request at clock {clock}, window [{st}, {ct})")
-        if 0 < blinded < self.key.n and self.permissions.chance(sender) > 0:
+        if not (0 < blinded < self.key.n and self.permissions.chance(sender) > 0):
+            return REFUSED
+        signed = sign_blinded(blinded, self.key)
+        if signed != REFUSED:
             self.permissions.decrement(sender)
             self.issued += 1
-            return sign_blinded(blinded, self.key)
-        return REFUSED
+        return signed
 
     def process_requests(self, ledger: Ledger) -> None:
         """Answer every unanswered signing request addressed to us."""
-        log = ledger.log
-        while self._cursor < len(log):
-            tx = log[self._cursor]
+        while self._cursor < len(ledger):
+            tx = ledger.entry(self._cursor)
             self._cursor += 1
             if tx.recipient != self.address or not isinstance(
                 tx.payload, messages.SignRequest
@@ -249,7 +251,8 @@ def voter_obtain_signature(
 
 
 def _find_response(ledger: Ledger, state: VoterState, after: int):
-    for tx in ledger.log[after + 1 :]:
+    for index in range(after + 1, len(ledger)):
+        tx = ledger.entry(index)
         if (
             tx.recipient == state.eligible_account.address
             and isinstance(tx.payload, messages.SignResponse)
@@ -367,10 +370,9 @@ def verify_receipt(receipt: Receipt, ledger: Ledger, contract: ElectionContract)
         return False
     if reconstructed != receipt.blinded:
         return False
-    log = ledger.log
-    if not 0 <= receipt.sign_tx_index < len(log):
+    if not 0 <= receipt.sign_tx_index < len(ledger):
         return False
-    tx = log[receipt.sign_tx_index]
+    tx = ledger.entry(receipt.sign_tx_index)
     if not isinstance(tx.payload, messages.SignResponse):
         return False
     if tx.payload.blinded != receipt.blinded or tx.payload.signed_blinded == REFUSED:

@@ -26,7 +26,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import messages
-from .blindsig import PublicKey, ballot_digest, verify
+from .blindsig import KeyPair, PublicKey, ballot_digest, crt_pow, factor_modulus, verify
 from .errors import (
     BadWindow,
     ElectionOpen,
@@ -68,7 +68,12 @@ class ElectionContract:
 
     params: ElectionParams
     ballot_box: dict[bytes, bytes] = field(default_factory=dict)
-    published_sealing_d: int | None = None
+    published_key: KeyPair | None = None
+    # uuid -> unsealed ballot, None when spoiled; box entries never change,
+    # so each is decrypted at most once per published key
+    _unsealed: dict[bytes, bytes | None] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     # -- call dispatch (used by the ledger) -----------------------------------
 
@@ -111,7 +116,11 @@ class ElectionContract:
         return True
 
     def publish_key(self, n: int, d: int, clock: int) -> None:
-        """Record the sealing private exponent once the vote window closed."""
+        """Record the sealing private key once the vote window closed.
+
+        The exponent must invert the sealing key on the base 2 and, with the
+        deployed e, factor n, which the CRT decryption needs.
+        """
         p = self.params
         if not p.sealed:
             raise NotSealed("election has no sealed result")
@@ -120,7 +129,11 @@ class ElectionContract:
         spk = p.sealing_pk
         if n != spk.n or pow(pow(2, spk.e, spk.n), d, spk.n) != 2:
             raise KeyMismatch("private exponent does not invert the sealing key")
-        self.published_sealing_d = d
+        try:
+            self.published_key = KeyPair(n, spk.e, d, *factor_modulus(n, spk.e, d))
+        except ValueError:
+            raise KeyMismatch("exponents do not factor the sealing modulus") from None
+        self._unsealed.clear()
 
     def tally(self, clock: int) -> Counter:
         """The on-chain tally: :meth:`count`, once the vote window closed."""
@@ -138,14 +151,17 @@ class ElectionContract:
         p = self.params
         if not p.sealed:
             return Counter(self.ballot_box.values())
-        if self.published_sealing_d is None:
+        if self.published_key is None:
             raise ResultSealed("sealing key not published")
         tally = Counter()
-        for entry in self.ballot_box.values():
-            try:
-                tally[unseal_ballot(entry, p.sealing_pk.n, self.published_sealing_d)] += 1
-            except ValueError:
-                pass
+        for uuid, entry in self.ballot_box.items():
+            if uuid not in self._unsealed:
+                try:
+                    self._unsealed[uuid] = unseal_ballot(entry, self.published_key)
+                except ValueError:
+                    self._unsealed[uuid] = None
+            if self._unsealed[uuid] is not None:
+                tally[self._unsealed[uuid]] += 1
         return tally
 
 
@@ -168,14 +184,14 @@ def seal_ballot(ballot: bytes, sealing_pk: PublicKey, seed) -> bytes:
     return wrapped + nonce + body
 
 
-def unseal_ballot(sealed: bytes, n: int, d: int) -> bytes:
-    nbytes = (n.bit_length() + 7) // 8
+def unseal_ballot(sealed: bytes, key: KeyPair) -> bytes:
+    nbytes = (key.n.bit_length() + 7) // 8
     if len(sealed) < nbytes + _NONCE_LEN + 16:
         raise ValueError("sealed ballot too short")
     wrapped = int.from_bytes(sealed[:nbytes], "big")
     nonce = sealed[nbytes : nbytes + _NONCE_LEN]
     body = sealed[nbytes + _NONCE_LEN :]
-    x = pow(wrapped, d, n)
+    x = crt_pow(wrapped, key)
     try:
         return AESGCM(_kem_key(x, nbytes)).decrypt(nonce, body, None)
     except InvalidTag:

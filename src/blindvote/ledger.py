@@ -84,7 +84,14 @@ class Ledger:
 
     @property
     def log(self) -> tuple[Transaction, ...]:
+        """A copy of the whole log; :meth:`entry` and ``len`` do not copy."""
         return tuple(self._log)
+
+    def __len__(self) -> int:
+        return len(self._log)
+
+    def entry(self, index: int) -> Transaction:
+        return self._log[index]
 
     @property
     def results(self) -> tuple:

@@ -474,7 +474,7 @@ class Election:
                 }
                 for v in self.voters
             ],
-            tx_count=len(self.ledger.log),
+            tx_count=len(self.ledger),
             transcript_text=transcript,
             attack=attack,
         )

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from blindvote import messages
+from blindvote import blindsig, messages
 from blindvote.actors import (
     Organizer,
     PermissionList,
@@ -116,6 +116,16 @@ class TestOrganizerSign:
         organizer.decide_sign(bob.address, 2, clock=10)
         organizer.decide_sign(create_account(999).address, 3, clock=10)  # refused
         assert initial - organizer.permissions.total() == organizer.issued == 2
+
+    def test_faulty_signature_refused_free(self, world, monkeypatch):
+        _, organizer, _, alice, _ = world
+        good = organizer.decide_sign(alice.address, 1234, clock=10)
+        organizer.permissions = PermissionList([(alice.address, 1)])
+        organizer.issued = 0
+        monkeypatch.setattr(blindsig, "crt_pow", lambda x, key: (good + 1) % key.n)
+        assert organizer.decide_sign(alice.address, 1234, clock=10) == REFUSED
+        assert organizer.permissions.chance(alice.address) == 1
+        assert organizer.issued == 0
 
     def test_duplicate_setup_address(self):
         ledger = Ledger()

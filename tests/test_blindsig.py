@@ -9,6 +9,7 @@ multiplication (no pow()) before the implementation existed:
     lambda(3233) = lcm(60, 52) = 780, and 17 * 2753 mod 780 = 1
 """
 
+import json
 import math
 import random
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blindvote import blindsig
 from blindvote.blindsig import (
     REFUSED,
     TOY_KEYPAIR,
@@ -23,6 +25,8 @@ from blindvote.blindsig import (
     PublicKey,
     ballot_digest,
     blind,
+    crt_pow,
+    factor_modulus,
     fdh,
     hash_ballot,
     hex_to_int,
@@ -38,6 +42,7 @@ from blindvote.blindsig import (
     verify,
 )
 from blindvote.errors import NonUnit, RefusalSentinel
+from blindvote.scenario import TOY_SEALING_KEYPAIR
 
 TOY = TOY_KEYPAIR
 PUB = TOY.public
@@ -94,6 +99,44 @@ class TestKeygen:
     def test_shared_factor_exponent_rejected(self):
         with pytest.raises(ValueError):
             keypair_from_primes(61, 53, e=15)  # gcd(15, 3120) = 15
+
+
+class TestCRT:
+    @pytest.mark.parametrize("key", [TOY, TOY_SEALING_KEYPAIR], ids=["signing", "sealing"])
+    def test_crt_pow_equals_pow_everywhere(self, key):
+        assert all(crt_pow(x, key) == pow(x, key.d, key.n) for x in range(key.n))
+
+    def test_toy_primes_larger_first(self):
+        assert (TOY.p, TOY.q) == (61, 53)
+        assert (TOY_SEALING_KEYPAIR.p, TOY_SEALING_KEYPAIR.q) == (71, 67)
+        assert keypair_from_primes(53, 61, 17) == TOY
+
+    @pytest.mark.parametrize("p, q", [(61, 59), (53, 61), (3233, 1)])
+    def test_keypair_checks_its_primes(self, p, q):
+        with pytest.raises(ValueError):
+            KeyPair(TOY.n, TOY.e, TOY.d, p, q)
+
+    @pytest.mark.parametrize("key", [TOY, TOY_SEALING_KEYPAIR], ids=["signing", "sealing"])
+    def test_factor_toy_keys(self, key):
+        assert set(factor_modulus(key.n, key.e, key.d)) == {key.p, key.q}
+
+    def test_factor_generated_keys(self):
+        for bits in range(16, 65):
+            for seed in range(200):
+                kp = keygen(bits, seed)
+                assert factor_modulus(kp.n, kp.e, kp.d) == (kp.p, kp.q), (bits, seed)
+
+    @pytest.mark.parametrize("d_offset", [0, 1, 2])
+    def test_factor_rejects_a_wrong_exponent(self, d_offset):
+        kp = keygen(64, 1)
+        d = 0 if d_offset == 0 else kp.d + d_offset
+        with pytest.raises(ValueError):
+            factor_modulus(kp.n, kp.e, d)
+
+    def test_faulty_signature_withheld(self, monkeypatch):
+        good = sign_blinded(65, TOY)
+        monkeypatch.setattr(blindsig, "crt_pow", lambda x, key: (good + 1) % key.n)
+        assert sign_blinded(65, TOY) == REFUSED
 
 
 class TestHashing:
@@ -279,6 +322,13 @@ class TestSerialization:
         path = tmp_path / "key.json"
         save_key(path, TOY)
         assert load_key(path) == TOY
+
+    def test_loaded_key_recovers_its_primes(self, tmp_path):
+        key = keygen(64, 9)
+        path = tmp_path / "key.json"
+        save_key(path, key)
+        assert set(json.loads(path.read_text())) == {"n", "e", "d"}
+        assert load_key(path) == key
 
     def test_public_key_file_has_no_d(self, tmp_path):
         path = tmp_path / "pub.json"

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from blindvote import contract
 from blindvote.blindsig import (
     TOY_KEYPAIR,
     PublicKey,
@@ -225,6 +226,30 @@ class TestSealedMode:
         with pytest.raises(ResultSealed):
             c.tally(clock=30)
 
+    def test_publish_needs_exponents_that_factor_n(self, monkeypatch):
+        c, _ = self._with_sealed_casts()
+
+        def no_split(n, e, d):
+            raise ValueError("no base splits n")
+
+        monkeypatch.setattr(contract, "factor_modulus", no_split)
+        with pytest.raises(KeyMismatch):
+            c.publish_key(SEALING.n, SEALING.d, clock=30)
+        assert c.published_key is None
+
+    def test_published_key_carries_the_primes(self):
+        c, _ = self._with_sealed_casts()
+        c.publish_key(SEALING.n, SEALING.d, clock=30)
+        assert c.published_key == SEALING
+
+    def test_unsealed_map_is_not_contract_state(self):
+        counted, expected = self._with_sealed_casts()
+        fresh, _ = self._with_sealed_casts()
+        for c in (counted, fresh):
+            c.publish_key(SEALING.n, SEALING.d, clock=30)
+        assert counted.tally(clock=30) == counted.count() == expected
+        assert counted == fresh and repr(counted) == repr(fresh)
+
     def test_publish_before_close(self):
         c, _ = self._with_sealed_casts()
         with pytest.raises(ElectionOpen):
@@ -251,30 +276,28 @@ class TestSealedMode:
 class TestSealing:
     def test_roundtrip(self):
         ct = seal_ballot(b"payload", SEALING.public, seed=1)
-        assert unseal_ballot(ct, SEALING.n, SEALING.d) == b"payload"
+        assert unseal_ballot(ct, SEALING) == b"payload"
 
     def test_randomized(self):
         a = seal_ballot(b"same", SEALING.public, seed=1)
         b = seal_ballot(b"same", SEALING.public, seed=2)
         assert a != b
-        assert unseal_ballot(a, SEALING.n, SEALING.d) == unseal_ballot(
-            b, SEALING.n, SEALING.d
-        )
+        assert unseal_ballot(a, SEALING) == unseal_ballot(b, SEALING)
 
     def test_tamper_detected(self):
         ct = bytearray(seal_ballot(b"payload", SEALING.public, seed=3))
         ct[-1] ^= 1
         with pytest.raises(ValueError):
-            unseal_ballot(bytes(ct), SEALING.n, SEALING.d)
+            unseal_ballot(bytes(ct), SEALING)
 
     def test_wrong_key_detected(self):
         ct = seal_ballot(b"payload", SEALING.public, seed=4)
         with pytest.raises(ValueError):
-            unseal_ballot(ct, SEALING.n, SEALING.d + 2)
+            unseal_ballot(ct, dataclasses.replace(SEALING, d=SEALING.d + 2))
 
     def test_truncated_rejected(self):
         with pytest.raises(ValueError):
-            unseal_ballot(b"\x00" * 4, SEALING.n, SEALING.d)
+            unseal_ballot(b"\x00" * 4, SEALING)
 
 
 class TestHexTally:

@@ -3,13 +3,14 @@
 import json
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from blindvote import messages
+from blindvote import contract, messages
 from blindvote.actors import voter_cast, voter_obtain_signature, voter_prepare
 from blindvote.errors import ConfigInvalid, ResultSealed
-from blindvote.ledger import create_account, import_log, replay
+from blindvote.ledger import Ledger, create_account, import_log, replay
 from blindvote.scenario import (
     EXPECTED_VERDICTS,
     Election,
@@ -19,6 +20,8 @@ from blindvote.scenario import (
     run_scenario,
     verify_transcript,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 PLAIN_ROWS = {
     "privacy",
@@ -225,11 +228,51 @@ class TestSealedRun:
         assert check.ok
         assert check.tally_hex == report.tally_hex
 
+    def test_each_contract_unseals_a_ballot_once(self, tmp_path, monkeypatch):
+        # count_stage: the live contract and the replayed one (whose Tally
+        # and recount share its unsealed map); verify: one replay
+        calls = []
+        unseal = contract.unseal_ballot
+
+        def counted(sealed, *key):
+            calls.append(sealed)
+            return unseal(sealed, *key)
+
+        monkeypatch.setattr(contract, "unseal_ballot", counted)
+        election = Election(ScenarioConfig.from_json_file(CONFIGS / "sealed.json"))
+        election.run()
+        box = len(election.contract.ballot_box)
+        assert box == 4 and len(calls) == 2 * box
+        report = election.build_report()
+        report.write(tmp_path)
+        del calls[:]
+        assert verify_transcript(report.transcript_path, report.report_path).ok
+        assert len(calls) == box
+
     def test_transcript_carries_no_plaintext(self, small_config):
         cfg = replace(small_config, sealed=True)
         report = run_scenario(cfg)
         for spec in cfg.voters:
             assert spec.ballot.encode().hex() not in report.transcript_text
+
+
+class TestLogNotCopied:
+    def test_sign_stage_and_receipts_read_single_entries(self, honest_config, monkeypatch):
+        # Ledger.log copies the whole log; per-voter reads of it made the
+        # sign stage and the receipt check quadratic in the voter count
+        def copy_forbidden(ledger):
+            raise AssertionError("Ledger.log copied")
+
+        election = Election(honest_config)
+        election.setup_stage()
+        with monkeypatch.context() as patch:
+            patch.setattr(Ledger, "log", property(copy_forbidden))
+            election.sign_stage()
+        election.vote_stage()
+        election.count_stage()
+        with monkeypatch.context() as patch:
+            patch.setattr(Ledger, "log", property(copy_forbidden))
+            assert election.verified_receipts() == (10, 10)
 
 
 class TestTranscripts:
