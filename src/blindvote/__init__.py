@@ -18,10 +18,8 @@ from .blindsig import (
     hash_ballot,
     keygen,
     keypair_from_primes,
-    load_key,
     new_blinding_factor,
     new_uuid,
-    save_key,
     sign_blinded,
     unblind,
     verify,

@@ -14,10 +14,8 @@ third party.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import messages
 from .blindsig import (
@@ -26,8 +24,6 @@ from .blindsig import (
     PublicKey,
     ballot_digest,
     blind,
-    hex_to_int,
-    int_to_hex,
     new_blinding_factor,
     new_uuid,
     sign_blinded,
@@ -42,7 +38,7 @@ from .errors import (
     OutOfWindow,
     SignRefused,
 )
-from .ledger import Account, Ledger, create_account, derive_address
+from .ledger import Account, Ledger, create_account
 from .rng import as_rng
 
 
@@ -288,57 +284,6 @@ def voter_cast(
         messages.Cast(signed=state.signed, ballot=state.ballot, uuid=state.uuid),
     )
     return bool(receipt.result)
-
-
-def save_voter_state(path: str | Path, state: VoterState) -> None:
-    """Persist voter-local state to disk.
-
-    This file is the receipt-freeness liability in the flesh: whoever
-    reads it learns r and uuid and can prove how the vote went. The
-    simulator never writes it; it shows what a real voter's client
-    would keep on disk.
-    """
-    doc = {
-        "ballot": state.ballot.hex(),
-        "plain_ballot": state.plain_ballot.hex(),
-        "r": int_to_hex(state.r),
-        "uuid": state.uuid.hex(),
-        "eligible_secret": state.eligible_account.auth_secret.hex(),
-        "pk_n": int_to_hex(state.pk.n),
-        "pk_e": int_to_hex(state.pk.e),
-        "blinded": int_to_hex(state.blinded),
-        "anon_secret": state.anon_account.auth_secret.hex() if state.anon_account else None,
-        "signed_blinded": int_to_hex(state.signed_blinded)
-        if state.signed_blinded is not None
-        else None,
-        "signed": int_to_hex(state.signed) if state.signed is not None else None,
-        "sign_tx_index": state.sign_tx_index,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def load_voter_state(path: str | Path) -> VoterState:
-    doc = json.loads(Path(path).read_text())
-    eligible_secret = bytes.fromhex(doc["eligible_secret"])
-    anon = None
-    if doc["anon_secret"] is not None:
-        anon_secret = bytes.fromhex(doc["anon_secret"])
-        anon = Account(derive_address(anon_secret), anon_secret)
-    return VoterState(
-        ballot=bytes.fromhex(doc["ballot"]),
-        plain_ballot=bytes.fromhex(doc["plain_ballot"]),
-        r=hex_to_int(doc["r"]),
-        uuid=bytes.fromhex(doc["uuid"]),
-        eligible_account=Account(derive_address(eligible_secret), eligible_secret),
-        pk=PublicKey(hex_to_int(doc["pk_n"]), hex_to_int(doc["pk_e"])),
-        blinded=hex_to_int(doc["blinded"]),
-        anon_account=anon,
-        signed_blinded=hex_to_int(doc["signed_blinded"])
-        if doc["signed_blinded"] is not None
-        else None,
-        signed=hex_to_int(doc["signed"]) if doc["signed"] is not None else None,
-        sign_tx_index=doc["sign_tx_index"],
-    )
 
 
 # --- the receipt-freeness attack, kept working on purpose ------------------------

@@ -86,7 +86,7 @@ def ineligible(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
     e.run()
     intruders = [v for v in e.voters if not v.listed]
     got_signature = any(v.granted > 0 for v in intruders)
-    got_cast = any(any(v.junk_results) for v in intruders)
+    got_cast = any(e.adversary_cast_results)
     return e, AttackOutcome(
         name="ineligible",
         property_exercised="democracy-eligibility",
@@ -132,7 +132,7 @@ def receipt_prove(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
     """Voters hand (ballot, uuid, r, response index) to a third party."""
     e = Election(config)
     e.run()
-    proven, total = e.verified_receipts()
+    proven, total = e.receipts
     return e, AttackOutcome(
         name="receipt-prove",
         property_exercised="receipt-freeness",

@@ -19,11 +19,9 @@ from [1, n), so 0 can never be a legitimate signature or message.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import NonUnit, RefusalSentinel
 from .rng import as_rng
@@ -303,8 +301,7 @@ def verify(signed: int, digest: bytes, key: PublicKey) -> bool:
 
 # --- serialization --------------------------------------------------------------
 # Integers travel as lowercase big-endian hex without leading zeros; byte
-# strings as plain hex. Key files are JSON documents with fields n, e and,
-# for private keys only, d; loading a private key recovers p and q from them.
+# strings as plain hex.
 
 def int_to_hex(value: int) -> str:
     if value < 0:
@@ -323,18 +320,3 @@ def hex_to_int(text: str) -> int:
         raise ValueError(f"not a canonical hex integer: {text!r}")
     return value
 
-
-def save_key(path: str | Path, key: KeyPair | PublicKey) -> None:
-    doc = {"n": int_to_hex(key.n), "e": int_to_hex(key.e)}
-    if isinstance(key, KeyPair):
-        doc["d"] = int_to_hex(key.d)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def load_key(path: str | Path) -> KeyPair | PublicKey:
-    doc = json.loads(Path(path).read_text())
-    n, e = hex_to_int(doc["n"]), hex_to_int(doc["e"])
-    if "d" in doc:
-        d = hex_to_int(doc["d"])
-        return KeyPair(n, e, d, *factor_modulus(n, e, d))
-    return PublicKey(n=n, e=e)

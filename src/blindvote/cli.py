@@ -4,7 +4,6 @@
     blindvote attack <name> <config.json> [--out DIR] [--seed N]
     blindvote verify <transcript> [--report report.json]
     blindvote tally <transcript>
-    blindvote keygen --bits N --seed S --out FILE [--public FILE]
 
 --seed replaces the seed in the config file. Exit code 0 means every
 expected assertion held (or the transcript verified); 1 means a property
@@ -21,7 +20,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .attacks import ATTACKS, run_attack
-from .blindsig import keygen, save_key
 from .errors import ProtocolError
 from .scenario import RunReport, ScenarioConfig, run_scenario, verify_transcript
 
@@ -97,16 +95,6 @@ def _divergence(check) -> int:
     return 1
 
 
-def cmd_keygen(args) -> int:
-    key = keygen(args.bits, args.seed)
-    save_key(args.out, key)
-    print(f"private key written to {args.out}")
-    if args.public:
-        save_key(args.public, key.public)
-        print(f"public key written to {args.public}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blindvote",
@@ -135,13 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tally", help="recount a transcript off-chain")
     p.add_argument("transcript")
     p.set_defaults(func=cmd_tally)
-
-    p = sub.add_parser("keygen", help="generate a deterministic signing keypair")
-    p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True, help="private key file (JSON)")
-    p.add_argument("--public", default=None, help="also write the public half here")
-    p.set_defaults(func=cmd_keygen)
 
     return parser
 

@@ -12,6 +12,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from . import messages
@@ -184,8 +185,7 @@ class VoterRun:
     refusals: int = 0
     check_failures: int = 0
     landed: list[VoterState] = field(default_factory=list)  # casts the contract accepted
-    rejected: int = 0  # signed casts the contract turned down
-    junk_results: list[bool] = field(default_factory=list)
+    rejected: int = 0  # casts the contract turned down, an unlisted voter's guessed ones too
 
     @property
     def granted(self) -> int:
@@ -361,8 +361,8 @@ class Election:
         for v in self.voters:
             for state in v.states:
                 if state.signed is None:
-                    if v.spec.kind == "unlisted":
-                        v.junk_results.append(self._junk_cast(state))
+                    if v.spec.kind == "unlisted" and not self._junk_cast(state):
+                        v.rejected += 1
                     continue
                 if voter_cast(
                     state,
@@ -442,8 +442,13 @@ class Election:
         """Honest voters' states whose cast landed in the box, in voter order."""
         return [s for v in self.voters if v.spec.kind == "honest" for s in v.landed]
 
-    def verified_receipts(self) -> tuple[int, int]:
-        """(verified, total) third-party receipts over the landed honest ballots."""
+    @cached_property
+    def receipts(self) -> tuple[int, int]:
+        """(verified, total) third-party receipts over the landed honest ballots.
+
+        Computed on first read and kept, so it is read only after the
+        election is over.
+        """
         landed = self.landed_honest
         verified = sum(
             1
@@ -470,7 +475,7 @@ class Election:
                     "refusals": v.refusals,
                     "check_failures": v.check_failures,
                     "accepted_casts": v.accepted,
-                    "rejected_casts": v.rejected + len(v.junk_results) - sum(v.junk_results),
+                    "rejected_casts": v.rejected,
                 }
                 for v in self.voters
             ],
@@ -572,7 +577,7 @@ def _toy_unlinkability(election: Election) -> bool:
 
 
 def _receipt_row(election: Election) -> AssertionRow | None:
-    verified, receipts = election.verified_receipts()
+    verified, receipts = election.receipts
     if receipts == 0:
         return None  # no completed honest voter: row not applicable
     return _row(

@@ -9,10 +9,7 @@ from blindvote import blindsig, messages
 from blindvote.actors import (
     Organizer,
     PermissionList,
-    VoterState,
-    load_voter_state,
     prove_receipt,
-    save_voter_state,
     verify_receipt,
     voter_cast,
     voter_obtain_signature,
@@ -313,27 +310,3 @@ class TestReceipts:
         state = voter_prepare(b"A", 5, TOY.public, alice)
         with pytest.raises(NoSignature):
             prove_receipt(state)
-
-
-class TestVoterStateFile:
-    def test_round_trip(self, world, tmp_path):
-        ledger, organizer, addr, alice, _ = world
-        state = voter_prepare(b"A", 5, TOY.public, alice)
-        voter_obtain_signature(state, ledger, addr, organizer)
-        ledger.advance_clock(20)
-        voter_cast(state, ledger, addr, seed=77)
-        path = tmp_path / "voter.json"
-        save_voter_state(path, state)
-        assert load_voter_state(path) == state
-
-    def test_file_is_the_liability_surface(self, world, tmp_path):
-        # the persisted file alone reconstructs a verifying receipt
-        ledger, organizer, addr, alice, _ = world
-        state = voter_prepare(b"A", 5, TOY.public, alice)
-        voter_obtain_signature(state, ledger, addr, organizer)
-        ledger.advance_clock(20)
-        voter_cast(state, ledger, addr, seed=77)
-        path = tmp_path / "voter.json"
-        save_voter_state(path, state)
-        stolen = load_voter_state(path)
-        assert verify_receipt(prove_receipt(stolen), ledger, ledger.contract(addr))

@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from blindvote import scenario
 from blindvote.attacks import ATTACKS, forge_signature, run_attack
 from blindvote.errors import UnknownAttack
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 ALL_NAMES = {
     "double-vote",
@@ -53,6 +56,22 @@ def test_receipt_prove_succeeds(small_config):
     assert report.attack.expected_success is True
     assert report.attack.detail == "3/3 vote receipts verified by a third party"
     assert report.all_ok()
+
+
+def test_receipt_prove_checks_each_receipt_once(monkeypatch):
+    # the attack and the grader's receipt row read one count per election
+    calls = []
+    check = scenario.verify_receipt
+
+    def counted(receipt, *rest):
+        calls.append(receipt)
+        return check(receipt, *rest)
+
+    monkeypatch.setattr(scenario, "verify_receipt", counted)
+    config = scenario.ScenarioConfig.from_json_file(CONFIGS / "sealed.json")
+    report = run_attack("receipt-prove", config)
+    assert report.attack.detail == "4/4 vote receipts verified by a third party"
+    assert len(calls) == 4
 
 
 def test_double_vote_keeps_tally_intact(small_config):

@@ -9,7 +9,6 @@ multiplication (no pow()) before the implementation existed:
     lambda(3233) = lcm(60, 52) = 780, and 17 * 2753 mod 780 = 1
 """
 
-import json
 import math
 import random
 
@@ -22,7 +21,6 @@ from blindvote.blindsig import (
     REFUSED,
     TOY_KEYPAIR,
     KeyPair,
-    PublicKey,
     ballot_digest,
     blind,
     crt_pow,
@@ -33,10 +31,8 @@ from blindvote.blindsig import (
     int_to_hex,
     keygen,
     keypair_from_primes,
-    load_key,
     new_blinding_factor,
     new_uuid,
-    save_key,
     sign_blinded,
     unblind,
     verify,
@@ -311,29 +307,3 @@ class TestSerialization:
     def test_non_canonical_hex_rejected(self, text):
         with pytest.raises(ValueError):
             hex_to_int(text)
-
-    def test_key_file_with_non_canonical_hex_rejected(self, tmp_path):
-        path = tmp_path / "key.json"
-        path.write_text('{"n": "0xca1", "e": "11"}')
-        with pytest.raises(ValueError):
-            load_key(path)
-
-    def test_private_key_file_roundtrip(self, tmp_path):
-        path = tmp_path / "key.json"
-        save_key(path, TOY)
-        assert load_key(path) == TOY
-
-    def test_loaded_key_recovers_its_primes(self, tmp_path):
-        key = keygen(64, 9)
-        path = tmp_path / "key.json"
-        save_key(path, key)
-        assert set(json.loads(path.read_text())) == {"n", "e", "d"}
-        assert load_key(path) == key
-
-    def test_public_key_file_has_no_d(self, tmp_path):
-        path = tmp_path / "pub.json"
-        save_key(path, TOY.public)
-        loaded = load_key(path)
-        assert isinstance(loaded, PublicKey)
-        assert loaded == PUB
-        assert "d" not in path.read_text()

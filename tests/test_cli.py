@@ -2,14 +2,15 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from blindvote.cli import main
-from blindvote.blindsig import TOY_KEYPAIR, load_key
+from blindvote.cli import build_parser, main
+from blindvote.blindsig import TOY_KEYPAIR
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -227,25 +228,14 @@ class TestDivergentTranscripts:
         assert capsys.readouterr().out.startswith(f"DIVERGENCE at index {index}:")
 
 
-class TestKeygen:
-    def test_writes_private_and_public(self, tmp_path):
-        priv = tmp_path / "priv.json"
-        pub = tmp_path / "pub.json"
-        code = main(
-            ["keygen", "--bits", "64", "--seed", "9", "--out", str(priv), "--public", str(pub)]
-        )
-        assert code == 0
-        key = load_key(priv)
-        assert key.n.bit_length() == 64
-        assert "d" in json.loads(priv.read_text())
-        assert "d" not in json.loads(pub.read_text())
-        assert load_key(pub) == key.public
-
-    def test_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        main(["keygen", "--bits", "64", "--seed", "9", "--out", str(a)])
-        main(["keygen", "--bits", "64", "--seed", "9", "--out", str(b)])
-        assert a.read_text() == b.read_text()
-
-    def test_tiny_bits_exits_two(self, tmp_path, capsys):
-        assert main(["keygen", "--bits", "8", "--seed", "1", "--out", str(tmp_path / "k")]) == 2
+def test_readme_cli_lines_parse():
+    # every command in the README's CLI block is one the parser accepts
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("blindvote ")]
+    assert lines
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README CLI line does not parse: {line}")

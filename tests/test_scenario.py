@@ -272,7 +272,7 @@ class TestLogNotCopied:
         election.count_stage()
         with monkeypatch.context() as patch:
             patch.setattr(Ledger, "log", property(copy_forbidden))
-            assert election.verified_receipts() == (10, 10)
+            assert election.receipts == (10, 10)
 
 
 class TestTranscripts:
