@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
 from dataclasses import dataclass, field
 
@@ -78,6 +79,10 @@ def _sieve(limit: int) -> list[int]:
 
 
 _SMALL_PRIMES = _sieve(1000)
+#: Product of the primes in (1000, 2^14): one gcd with it screens a large
+#: candidate against all of them (Menezes, van Oorschot and Vanstone,
+#: Handbook of Applied Cryptography, Note 4.45).
+_SCREEN = math.prod(_sieve(1 << 14)[len(_SMALL_PRIMES):])
 
 
 def _is_probable_prime(x: int, rng: random.Random) -> bool:
@@ -95,6 +100,10 @@ def _is_probable_prime(x: int, rng: random.Random) -> bool:
     bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
     if x.bit_length() > 80:
         bases += [rng.randrange(2, x - 1) for _ in range(28)]
+        # after the draws, so a screened-out candidate uses the same rng
+        # stream as one that Miller-Rabin rejects, and keys do not change
+        if math.gcd(x, _SCREEN) != 1:
+            return False
     for a in bases:
         a %= x
         if a in (0, 1, x - 1):
@@ -190,6 +199,49 @@ def keygen(bits: int, seed: int | random.Random) -> KeyPair:
             return keypair_from_primes(p, q)
         except ValueError:
             continue
+
+
+def keygens(bits: int, seeds: list[int]) -> list[KeyPair]:
+    """``[keygen(bits, s) for s in seeds]``, the keys made at the same time.
+
+    The first key is made here, the others in one forked child, which sends
+    back each key's primes as hex and exits; the keys are rebuilt from them.
+    Each key depends on its own seed alone, so they are the keys that
+    keygen makes one after another. With one seed nothing is forked. The
+    child only computes and writes to its own pipe, so it takes no lock
+    that another thread of the caller could hold at the fork.
+    """
+    if len(seeds) < 2:
+        return [keygen(bits, seed) for seed in seeds]
+    first, rest = seeds[0], seeds[1:]
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # child: never returns into the caller's code
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "w") as out:
+                for seed in rest:
+                    key = keygen(bits, seed)
+                    out.write(f"{key.p:x} {key.q:x}\n")
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        key = keygen(bits, first)
+    finally:  # reap the child whether or not this key was made
+        with os.fdopen(read_fd) as inp:
+            lines = inp.read().splitlines()
+        _, status = os.waitpid(pid, 0)
+    if status != 0 or len(lines) != len(rest):
+        raise RuntimeError(f"key generation failed for seeds {rest} ({bits} bits)")
+    return [key] + [keypair_from_primes(*(int(h, 16) for h in ln.split())) for ln in lines]
 
 
 #: Enumeration-scale parameter set used throughout the test suite.

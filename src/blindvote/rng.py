@@ -12,8 +12,3 @@ def as_rng(seed: int | random.Random) -> random.Random:
     if isinstance(seed, random.Random):
         return seed
     return random.Random(seed)
-
-
-def spawn(rng: random.Random) -> random.Random:
-    """Child generator seeded from the parent stream."""
-    return random.Random(rng.getrandbits(64))

@@ -30,7 +30,7 @@ from .blindsig import (
     ballot_digest,
     fdh,
     int_to_hex,
-    keygen,
+    keygens,
     keypair_from_primes,
 )
 from .contract import hex_tally
@@ -43,7 +43,7 @@ from .errors import (
     SignRefused,
 )
 from .ledger import Account, Ledger, Transaction, create_account, export_log, import_log, replay
-from .rng import as_rng, spawn
+from .rng import as_rng
 
 VOTER_KINDS = ("honest", "careless", "unlisted")
 
@@ -298,14 +298,12 @@ class Election:
         self.rng = as_rng(config.seed)
         if config.key_bits is None:
             self.key = TOY_KEYPAIR
+            self.sealing_key = TOY_SEALING_KEYPAIR if config.sealed else None
         else:
-            self.key = keygen(config.key_bits, spawn(self.rng))
-        self.sealing_key = None
-        if config.sealed:
-            if config.key_bits is None:
-                self.sealing_key = TOY_SEALING_KEYPAIR
-            else:
-                self.sealing_key = keygen(config.key_bits, spawn(self.rng))
+            # one child seed per key, drawn before either key is made
+            seeds = [self.rng.getrandbits(64) for _ in range(1 + config.sealed)]
+            self.key, *sealing = keygens(config.key_bits, seeds)
+            self.sealing_key = sealing[0] if sealing else None
         self.ledger = Ledger()
         self.organizer = Organizer(
             key=self.key, account=create_account(self.rng), sealing_key=self.sealing_key

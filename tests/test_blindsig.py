@@ -10,6 +10,7 @@ multiplication (no pow()) before the implementation existed:
 """
 
 import math
+import os
 import random
 
 import pytest
@@ -38,7 +39,7 @@ from blindvote.blindsig import (
     verify,
 )
 from blindvote.errors import NonUnit, RefusalSentinel
-from blindvote.scenario import TOY_SEALING_KEYPAIR
+from blindvote.scenario import TOY_SEALING_KEYPAIR, Election, ScenarioConfig, VoterSpec
 
 TOY = TOY_KEYPAIR
 PUB = TOY.public
@@ -95,6 +96,81 @@ class TestKeygen:
     def test_shared_factor_exponent_rejected(self):
         with pytest.raises(ValueError):
             keypair_from_primes(61, 53, e=15)  # gcd(15, 3120) = 15
+
+
+def _trial_division_prime(x: int) -> bool:
+    return x >= 2 and all(x % f for f in range(2, math.isqrt(x) + 1))
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_2_16(self):
+        rng = random.Random(0)
+        for x in range(1 << 16):
+            assert blindsig._is_probable_prime(x, rng) == _trial_division_prime(x), x
+
+    def test_screen_keeps_the_rng_draws(self):
+        # 2^89 - 1 is prime, so 1009 is the smallest factor: past the trial
+        # division below 1000, inside the gcd screen, and over 80 bits
+        x = 1009 * (2**89 - 1)
+        assert x.bit_length() > 80
+        rng, twin = random.Random(5), random.Random(5)
+        assert not blindsig._is_probable_prime(x, rng)
+        for _ in range(28):
+            twin.randrange(2, x - 1)
+        assert rng.getstate() == twin.getstate()
+
+
+class TestKeygens:
+    @pytest.mark.parametrize("seeds", [(0, 1), (7, 3), (2**64 - 1, 12345)])
+    def test_equal_to_keygen_in_turn(self, seeds):
+        assert blindsig.keygens(512, list(seeds)) == [keygen(512, s) for s in seeds]
+
+    def test_one_seed_forks_nothing(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked for one key")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert blindsig.keygens(512, [4]) == [keygen(512, 4)]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_failed_fork_closes_the_pipe(self, monkeypatch):
+        def failing_fork():
+            raise OSError("fork failed")
+
+        open_fds = set(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", failing_fork)
+        with pytest.raises(OSError, match="fork failed"):
+            blindsig.keygens(64, [1, 2])
+        assert set(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_sealed_election_keys_as_two_child_generators(self):
+        config = ScenarioConfig(
+            st=10, ct=20, et=30, voters=[VoterSpec("alice", "ALPHA")],
+            sealed=True, key_bits=512, seed=11,
+        )
+        election = Election(config)
+        rng = random.Random(config.seed)
+        expected = tuple(keygen(512, random.Random(rng.getrandbits(64))) for _ in range(2))
+        assert (election.key, election.sealing_key) == expected
+
+    @pytest.mark.parametrize(
+        "seeds, error",
+        [([1, 9], RuntimeError), ([9, 1], ValueError)],
+        ids=["in-child", "in-parent"],
+    )
+    def test_a_failed_key_raises_here_and_reaps_the_child(self, monkeypatch, seeds, error):
+        real_keygen = blindsig.keygen
+
+        def keygen_failing_on_9(bits, seed):
+            if seed == 9:
+                raise ValueError("no key for seed 9")
+            return real_keygen(bits, seed)
+
+        monkeypatch.setattr(blindsig, "keygen", keygen_failing_on_9)
+        with pytest.raises(error, match=r"seeds? \[?9\b"):
+            blindsig.keygens(64, seeds)
+        with pytest.raises(ChildProcessError):  # no child left, exited or running
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestCRT:

@@ -5,11 +5,15 @@ hashes below pin both files. A refactor that changes no behaviour leaves
 every hash in place. Cases: every shipped config, the seven attacks on
 configs/adversarial.json and on configs/sealed.json, and a seeded set of
 random configs mixing honest, careless and unlisted voters, sealed and
-unsealed, toy keys plus one 128-bit key.
+unsealed, toy keys plus one 128-bit key. Two more cases run shipped configs
+with real keys whose primes exceed 80 bits, so key generation draws its
+random Miller-Rabin bases: configs/sealed.json at 512 bits (both keys) and
+configs/adversarial.json at 256 bits.
 """
 
 import hashlib
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -46,6 +50,8 @@ def _cases():
         yield f"config-{path.stem}", None, ScenarioConfig.from_json_file(path)
     adversarial = ScenarioConfig.from_json_file(CONFIGS / "adversarial.json")
     sealed = ScenarioConfig.from_json_file(CONFIGS / "sealed.json")
+    yield "config-sealed-512", None, replace(sealed, key_bits=512)
+    yield "config-adversarial-256", None, replace(adversarial, key_bits=256)
     for name in sorted(ATTACKS):
         yield f"attack-{name}", name, adversarial
         yield f"attack-{name}-sealed", name, sealed
@@ -70,6 +76,9 @@ GOLDEN = {
     "config-adversarial": ("776b08db282e8413", "d3e765a43d452f06"),
     "config-honest-10": ("849339b2dfd73be1", "452831dc8d61f69b"),
     "config-sealed": ("cbf8a748fb279698", "546fb05ab4578dd0"),
+    # real keys, recorded before key generation was parallelised and screened
+    "config-sealed-512": ("94fc5b6ab56c8038", "546fb05ab4578dd0"),
+    "config-adversarial-256": ("75b97ee14ed7465f", "d3e765a43d452f06"),
     "attack-double-vote": ("e3de1be5a4944513", "010144fbcd08b920"),
     "attack-early-tally": ("f3c22d2c1a62bc50", "289cef429b5af6d7"),
     "attack-forge-signature": ("56607c7109508791", "ffdc76505aa0c2d3"),
