@@ -159,7 +159,9 @@ def factor_modulus(n: int, e: int, d: int) -> tuple[int, int]:
     met on the way that is not +-1 mod n shares exactly one prime with n.
     Each base works with probability at least 1/2; the bases are the fixed
     small primes, and one that shares a factor with n gives it directly.
-    Raises ValueError when no base splits n.
+    Raises ValueError when no base splits n, and when base 2's sequence ends
+    without reaching 1: then 2^(ed - 1) != 1 mod n, so for odd n, where 2 is
+    a unit, d does not invert e on the base 2.
     """
     k = e * d - 1
     s, t = k, 0
@@ -181,6 +183,9 @@ def factor_modulus(n: int, e: int, d: int) -> tuple[int, int]:
                 f = math.gcd(x - 1, n)
                 return max(f, n // f), min(f, n // f)
             x = y
+        else:
+            if g == 2:
+                raise ValueError("2^(ed - 1) is not 1 mod n")
     raise ValueError("the exponents do not factor the modulus")
 
 
@@ -201,19 +206,18 @@ def keygen(bits: int, seed: int | random.Random) -> KeyPair:
             continue
 
 
-def keygens(bits: int, seeds: list[int]) -> list[KeyPair]:
-    """``[keygen(bits, s) for s in seeds]``, the keys made at the same time.
+def fork_map(fn, items: list, split: int, to_line, from_line, what: str) -> list:
+    """``[fn(x) for x in items]``, ``items[split:]`` computed in a forked child.
 
-    The first key is made here, the others in one forked child, which sends
-    back each key's primes as hex and exits; the keys are rebuilt from them.
-    Each key depends on its own seed alone, so they are the keys that
-    keygen makes one after another. With one seed nothing is forked. The
-    child only computes and writes to its own pipe, so it takes no lock
-    that another thread of the caller could hold at the fork.
+    The child writes ``to_line(fn(x))`` for each of its items, one line each
+    (no newline inside), to a pipe and always ends in ``os._exit``; the
+    parent computes ``items[:split]`` meanwhile, then reads the lines back
+    through ``from_line`` and reaps the child, also when its own part
+    raises. A child that fails or sends too few lines raises RuntimeError
+    naming ``what``. The child only computes and writes to its own pipe, so
+    it takes no lock that another thread of the caller could hold at the
+    fork. Results come back in the order of ``items``.
     """
-    if len(seeds) < 2:
-        return [keygen(bits, seed) for seed in seeds]
-    first, rest = seeds[0], seeds[1:]
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -226,22 +230,42 @@ def keygens(bits: int, seeds: list[int]) -> list[KeyPair]:
         try:
             os.close(read_fd)
             with os.fdopen(write_fd, "w") as out:
-                for seed in rest:
-                    key = keygen(bits, seed)
-                    out.write(f"{key.p:x} {key.q:x}\n")
+                for x in items[split:]:
+                    out.write(to_line(fn(x)) + "\n")
             status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
     try:
-        key = keygen(bits, first)
-    finally:  # reap the child whether or not this key was made
+        head = [fn(x) for x in items[:split]]
+    finally:  # reap the child whether or not this part was computed
         with os.fdopen(read_fd) as inp:
             lines = inp.read().splitlines()
         _, status = os.waitpid(pid, 0)
-    if status != 0 or len(lines) != len(rest):
-        raise RuntimeError(f"key generation failed for seeds {rest} ({bits} bits)")
-    return [key] + [keypair_from_primes(*(int(h, 16) for h in ln.split())) for ln in lines]
+    if status != 0 or len(lines) != len(items) - split:
+        raise RuntimeError(f"{what} failed in the forked child")
+    return head + [from_line(line) for line in lines]
+
+
+def keygens(bits: int, seeds: list[int]) -> list[KeyPair]:
+    """``[keygen(bits, s) for s in seeds]``, the keys made at the same time.
+
+    The first key is made here, the others in one forked child
+    (:func:`fork_map`), which sends back each key's primes as hex; the keys
+    are rebuilt from them. Each key depends on its own seed alone, so they
+    are the keys that keygen makes one after another. With one seed
+    nothing is forked.
+    """
+    if len(seeds) < 2:
+        return [keygen(bits, seed) for seed in seeds]
+    return fork_map(
+        lambda seed: keygen(bits, seed),
+        seeds,
+        1,
+        lambda key: f"{key.p:x} {key.q:x}",
+        lambda line: keypair_from_primes(*(int(h, 16) for h in line.split())),
+        f"key generation for seeds {seeds[1:]} ({bits} bits)",
+    )
 
 
 #: Enumeration-scale parameter set used throughout the test suite.

@@ -1,6 +1,8 @@
 """Contract state machine: windows, the judge function, tallying, sealing."""
 
 import dataclasses
+import os
+import random
 from collections import Counter
 
 import pytest
@@ -8,19 +10,24 @@ import pytest
 from blindvote import contract
 from blindvote.blindsig import (
     TOY_KEYPAIR,
+    KeyPair,
     PublicKey,
     ballot_digest,
     blind,
+    factor_modulus,
     fdh,
+    keygen,
     keypair_from_primes,
     sign_blinded,
     unblind,
 )
 from blindvote.contract import (
+    FORK_BITS,
     ElectionContract,
     ElectionParams,
     hex_tally,
     seal_ballot,
+    unseal_all,
     unseal_ballot,
 )
 from blindvote.errors import (
@@ -31,12 +38,13 @@ from blindvote.errors import (
     OutOfWindow,
     ResultSealed,
 )
+from blindvote.scenario import Election, ScenarioConfig, VoterSpec, verify_transcript
 
 TOY = TOY_KEYPAIR
 SEALING = keypair_from_primes(67, 71, 17)
 
 
-def make_contract(sealed=False):
+def make_contract(sealed=False, sealing=SEALING):
     return ElectionContract(
         ElectionParams(
             pk=TOY.public,
@@ -44,7 +52,7 @@ def make_contract(sealed=False):
             ct=20,
             et=30,
             sealed=sealed,
-            sealing_pk=SEALING.public if sealed else None,
+            sealing_pk=sealing.public if sealed else None,
         )
     )
 
@@ -272,6 +280,178 @@ class TestSealedMode:
         for entry in c.ballot_box.values():
             assert b"CANDIDATE" not in entry
 
+    def test_wrapped_value_plus_n_is_spoiled(self):
+        c, expected = self._with_sealed_casts()
+        # the same ciphertext with its wrapped value moved up by n
+        sealed = c.ballot_box[uuid_of(0)]
+        shifted = (int.from_bytes(sealed[:2], "big") + SEALING.n).to_bytes(2, "big") + sealed[2:]
+        uuid = uuid_of(10)
+        assert c.cast(signed_ballot(shifted, uuid), shifted, uuid, clock=20)
+        c.publish_key(SEALING.n, SEALING.d, clock=30)
+        assert c.tally(clock=30) == expected
+
+
+def _two_step_publish_accepts(n: int, e: int, d: int) -> bool:
+    """publish_key's acceptance with its separate base-2 check, for any n.
+
+    factor_modulus's own base-2 exit never fires on an input that passes
+    the check, so this is the predicate from before that exit existed.
+    """
+    if pow(pow(2, e, n), d, n) != 2:
+        return False
+    try:
+        KeyPair(n, e, d, *factor_modulus(n, e, d))
+    except ValueError:
+        return False
+    return True
+
+
+def _publish_accepts(n: int, e: int, d: int) -> bool:
+    params = dataclasses.replace(make_contract(sealed=True).params, sealing_pk=PublicKey(n, e))
+    c = ElectionContract(params)
+    try:
+        c.publish_key(n, d, clock=30)
+    except KeyMismatch:
+        return False
+    return True
+
+
+class TestPublishPredicate:
+    def test_one_modexp_accepts_what_the_two_step_check_did(self):
+        rng = random.Random(9)
+        cases = []
+        for _ in range(30_000):
+            n = rng.randrange(2, 5000)
+            cases.append((n, rng.randrange(1, n), rng.randrange(n)))
+        for seed in range(200):
+            key = keygen(24, seed)
+            phi = (key.p - 1) * (key.q - 1)
+            for d in (key.d, key.d + 1, key.d + 2, key.d + phi, key.d + phi // 2):
+                cases.append((key.n, key.e, d))
+        verdicts = [_publish_accepts(*case) for case in cases]
+        assert verdicts == [_two_step_publish_accepts(*case) for case in cases]
+        # d, d + phi and d + phi/2 (a multiple of lambda(n)) of every key
+        assert sum(verdicts[30_000:]) == 600
+
+
+@pytest.fixture(scope="module")
+def key_1024():
+    return keygen(1024, 0)
+
+
+def _unseal_in_turn(entries, key):
+    """The sequential loop that unseal_all must equal."""
+    out = []
+    for sealed in entries:
+        try:
+            out.append(unseal_ballot(sealed, key))
+        except ValueError:
+            out.append(None)
+    return out
+
+
+def _batch(key):
+    """Six entries: a spoiled one in each half, an empty ballot in the child's."""
+    tampered = bytearray(seal_ballot(b"CANDIDATE-BETA", key.public, seed=7))
+    tampered[-1] ^= 1
+    return [
+        seal_ballot(b"CANDIDATE-ALPHA", key.public, seed=1),
+        bytes(tampered),
+        seal_ballot(b"CANDIDATE-BETA", key.public, seed=2),
+        seal_ballot(b"", key.public, seed=3),
+        b"NOT-A-CIPHERTEXT",
+        seal_ballot(b"CANDIDATE-GAMMA", key.public, seed=4),
+    ]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts os.fork calls; each still forks."""
+    count = []
+    real_fork = os.fork
+
+    def counting_fork():
+        count.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return count
+
+
+class TestUnsealAll:
+    def test_forked_batch_equals_the_loop(self, key_1024, forks):
+        entries = _batch(key_1024)
+        expected = [b"CANDIDATE-ALPHA", None, b"CANDIDATE-BETA", b"", None, b"CANDIDATE-GAMMA"]
+        assert _unseal_in_turn(entries, key_1024) == expected
+        assert unseal_all(entries, key_1024) == expected
+        assert len(forks) == 1
+
+    def test_contract_counts_a_forked_batch_once(self, key_1024, forks):
+        c = make_contract(sealed=True, sealing=key_1024)
+        entries = _batch(key_1024)
+        for i, sealed in enumerate(entries):
+            uuid = uuid_of(i)
+            assert c.cast(signed_ballot(sealed, uuid), sealed, uuid, clock=20)
+        c.publish_key(key_1024.n, key_1024.d, clock=30)
+        expected = Counter([b"CANDIDATE-ALPHA", b"CANDIDATE-BETA", b"", b"CANDIDATE-GAMMA"])
+        assert c.tally(clock=30) == expected
+        assert list(c._unsealed.values()) == _unseal_in_turn(entries, key_1024)
+        assert c.count() == expected and len(forks) == 1  # nothing left to unseal
+
+    def test_sealed_1024_bit_election(self, tmp_path, forks):
+        config = ScenarioConfig(
+            st=10, ct=20, et=30, sealed=True, key_bits=1024, seed=5,
+            voters=[VoterSpec(name, ballot) for name, ballot in
+                    [("alice", "ALPHA"), ("bob", "BETA"), ("carol", "ALPHA")]],
+        )
+        election = Election(config)
+        election.run()
+        assert election.onchain_tally == election.offchain_tally == Counter(
+            {b"ALPHA": 2, b"BETA": 1}
+        )
+        # keygens, the live tally and count_stage's replay
+        assert len(forks) == 3
+        report = election.build_report()
+        report.write(tmp_path)
+        assert verify_transcript(report.transcript_path, report.report_path).ok
+
+    def test_a_failing_child_raises_here_and_is_reaped(self, key_1024, monkeypatch):
+        parent = os.getpid()
+        unseal = contract.unseal_ballot
+
+        def unseal_failing_in_child(sealed, key):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("not a ValueError: the child fails")
+            return unseal(sealed, key)
+
+        monkeypatch.setattr(contract, "unseal_ballot", unseal_failing_in_child)
+        with pytest.raises(RuntimeError, match="forked child"):
+            unseal_all(_batch(key_1024), key_1024)
+        with pytest.raises(ChildProcessError):  # no child left, exited or running
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_failed_fork_closes_the_pipe(self, key_1024, monkeypatch):
+        def failing_fork():
+            raise OSError("fork failed")
+
+        entries = _batch(key_1024)
+        open_fds = set(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", failing_fork)
+        with pytest.raises(OSError, match="fork failed"):
+            unseal_all(entries, key_1024)
+        assert set(os.listdir("/proc/self/fd")) == open_fds
+
+    @pytest.mark.parametrize("bits, size", [(512, 6), (FORK_BITS - 1, 6), (FORK_BITS, 1)])
+    def test_below_the_floor_nothing_forks(self, monkeypatch, bits, size):
+        def no_fork():
+            raise AssertionError("forked below the floor")
+
+        key = keygen(bits, 0)
+        entries = _batch(key)[:size]
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert unseal_all(entries, key) == _unseal_in_turn(entries, key)
+
 
 class TestSealing:
     def test_roundtrip(self):
@@ -298,6 +478,13 @@ class TestSealing:
     def test_truncated_rejected(self):
         with pytest.raises(ValueError):
             unseal_ballot(b"\x00" * 4, SEALING)
+
+    def test_wrapped_value_outside_1_to_n_rejected(self):
+        ct = seal_ballot(b"payload", SEALING.public, seed=1)
+        wrapped = int.from_bytes(ct[:2], "big")
+        for other in (wrapped + SEALING.n, 0):
+            with pytest.raises(ValueError, match="outside"):
+                unseal_ballot(other.to_bytes(2, "big") + ct[2:], SEALING)
 
 
 class TestHexTally:

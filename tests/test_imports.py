@@ -1,9 +1,11 @@
 """Importing blindvote loads no process-pool, pickling or subprocess module.
 
 Each would add import time and resident memory to every run; key
-generation forks with ``os.fork`` and a pipe instead.
+generation and sealed-ballot decryption fork with ``os.fork`` and a pipe
+instead, in one place: ``blindsig.fork_map``.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -26,3 +28,20 @@ def test_import_loads_no_unwanted_module():
         check=True,
     )
     assert done.stdout.split() == []
+
+
+def test_one_fork_site():
+    forks = []
+    for path in sorted((ROOT / "src" / "blindvote").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("os", "posix"):
+                forks += [f"{path.name}:{node.lineno}" for a in node.names if "fork" in a.name]
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "fork"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "os"
+            ):
+                forks.append(f"{path.name}:{node.lineno}")
+    assert len(forks) == 1 and forks[0].startswith("blindsig.py:"), forks
