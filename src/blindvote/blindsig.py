@@ -213,10 +213,12 @@ def fork_map(fn, items: list, split: int, to_line, from_line, what: str) -> list
     (no newline inside), to a pipe and always ends in ``os._exit``; the
     parent computes ``items[:split]`` meanwhile, then reads the lines back
     through ``from_line`` and reaps the child, also when its own part
-    raises. A child that fails or sends too few lines raises RuntimeError
-    naming ``what``. The child only computes and writes to its own pipe, so
-    it takes no lock that another thread of the caller could hold at the
-    fork. Results come back in the order of ``items``.
+    raises. A child that fails or sends too few lines raises
+    ChildProcessError naming ``what``: an OSError, so that a replay reports
+    it as a failure of the machine, not of the transcript. The child only
+    computes and writes to its own pipe, so it takes no lock that another
+    thread of the caller could hold at the fork. Results come back in the
+    order of ``items``.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -243,7 +245,7 @@ def fork_map(fn, items: list, split: int, to_line, from_line, what: str) -> list
             lines = inp.read().splitlines()
         _, status = os.waitpid(pid, 0)
     if status != 0 or len(lines) != len(items) - split:
-        raise RuntimeError(f"{what} failed in the forked child")
+        raise ChildProcessError(f"{what} failed in the forked child")
     return head + [from_line(line) for line in lines]
 
 

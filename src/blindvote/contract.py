@@ -77,11 +77,16 @@ class ElectionContract:
     params: ElectionParams
     ballot_box: dict[bytes, bytes] = field(default_factory=dict)
     published_key: KeyPair | None = None
+    # KEM secrets another count of this box recorded, handed in by a replay
+    # of the same transcript (see count)
+    recorded: KemSecrets | None = field(default=None, compare=False, repr=False)
     # uuid -> unsealed ballot, None when spoiled; box entries never change,
     # so each is decrypted at most once per published key
     _unsealed: dict[bytes, bytes | None] = field(
         default_factory=dict, compare=False, repr=False
     )
+    # uuid -> KEM secret x of each entry unsealed under published_key
+    _secrets: dict[bytes, int] = field(default_factory=dict, compare=False, repr=False)
 
     # -- call dispatch (used by the ledger) -----------------------------------
 
@@ -145,6 +150,7 @@ class ElectionContract:
         except ValueError:
             raise KeyMismatch("private exponent does not invert the sealing key") from None
         self._unsealed.clear()
+        self._secrets.clear()
 
     def tally(self, clock: int) -> Counter:
         """The on-chain tally: :meth:`count`, once the vote window closed."""
@@ -157,25 +163,47 @@ class ElectionContract:
 
         A sealed entry that does not unseal is spoiled and not counted: the
         organizer signs blind, so any eligible voter can get a payload that
-        is no ciphertext accepted.
+        is no ciphertext accepted. Secrets ``recorded`` under the published
+        (n, d) are offered to :func:`unseal_all`, which opens an entry with
+        its secret when that checks out and decrypts it otherwise.
         """
         p = self.params
         if not p.sealed:
             return Counter(self.ballot_box.values())
-        if self.published_key is None:
+        key = self.published_key
+        if key is None:
             raise ResultSealed("sealing key not published")
+        recorded = self.recorded
+        usable = recorded is not None and (recorded.n, recorded.d) == (key.n, key.d)
+        by_uuid = recorded.by_uuid if usable else {}
         pending = [uuid for uuid in self.ballot_box if uuid not in self._unsealed]
         entries = [self.ballot_box[uuid] for uuid in pending]
-        self._unsealed.update(zip(pending, unseal_all(entries, self.published_key)))
+        secrets = [by_uuid.get(uuid) for uuid in pending]
+        for uuid, unsealed in zip(pending, unseal_all(entries, key, secrets)):
+            if unsealed is None:
+                self._unsealed[uuid] = None
+            else:
+                self._unsealed[uuid], self._secrets[uuid] = unsealed
         return Counter(
             self._unsealed[uuid] for uuid in self.ballot_box if self._unsealed[uuid] is not None
         )
 
+    def kem_secrets(self) -> KemSecrets | None:
+        """The KEM secret of every entry unsealed so far, under the published
+        key; None before publication.
+
+        For replays of this contract's own transcript: a replayed contract
+        handed these opens each entry with one public-exponent power.
+        """
+        key = self.published_key
+        return None if key is None else KemSecrets(key.n, key.d, dict(self._secrets))
+
 
 # --- sealed-mode ballot encryption --------------------------------------------
-# Randomized hybrid scheme: a fresh secret x in [1, n) is wrapped as
-# x^e mod n, its hash keys AES-GCM over the ballot bytes. Fresh x and
-# nonce per ballot keep equal ballots indistinguishable on the ledger.
+# Randomized hybrid scheme, RSA-KEM (Shoup, ISO/IEC 18033-2) with AES-GCM: a
+# fresh secret x in [1, n) is wrapped as x^e mod n, its hash keys AES-GCM over
+# the ballot bytes. Fresh x and nonce per ballot keep equal ballots
+# indistinguishable on the ledger.
 
 def _kem_key(x: int, nbytes: int) -> bytes:
     return hashlib.sha256(b"kem:" + x.to_bytes(nbytes, "big")).digest()
@@ -191,25 +219,61 @@ def seal_ballot(ballot: bytes, sealing_pk: PublicKey, seed) -> bytes:
     return wrapped + nonce + body
 
 
-def unseal_ballot(sealed: bytes, key: KeyPair) -> bytes:
-    """The ballot inside ``sealed``; ValueError when it does not unseal.
+@dataclass(frozen=True)
+class KemSecrets:
+    """uuid -> KEM secret x of the box entries a count unsealed under (n, d)."""
+
+    n: int
+    d: int
+    by_uuid: dict[bytes, int]
+
+
+def _wrapped(sealed: bytes, n: int) -> int:
+    """The wrapped value of ``sealed``; ValueError when it cannot be one.
 
     The wrapped value must lie in [1, n), so each ciphertext has one
     encoding: wrapped + n would otherwise decrypt like wrapped.
     """
-    nbytes = (key.n.bit_length() + 7) // 8
+    nbytes = (n.bit_length() + 7) // 8
     if len(sealed) < nbytes + _NONCE_LEN + 16:
         raise ValueError("sealed ballot too short")
     wrapped = int.from_bytes(sealed[:nbytes], "big")
-    if not 0 < wrapped < key.n:
+    if not 0 < wrapped < n:
         raise ValueError("wrapped value outside [1, n)")
+    return wrapped
+
+
+def _open(sealed: bytes, x: int, n: int) -> bytes:
+    """The AES-GCM step: the ballot sealed under KEM secret x."""
+    nbytes = (n.bit_length() + 7) // 8
     nonce = sealed[nbytes : nbytes + _NONCE_LEN]
     body = sealed[nbytes + _NONCE_LEN :]
-    x = crt_pow(wrapped, key)
     try:
         return AESGCM(_kem_key(x, nbytes)).decrypt(nonce, body, None)
     except InvalidTag:
         raise ValueError("sealed ballot does not decrypt under this key") from None
+
+
+def unseal_ballot(sealed: bytes, key: KeyPair) -> tuple[bytes, int]:
+    """The ballot inside ``sealed`` and its KEM secret x = wrapped^d mod n.
+
+    ValueError when it does not unseal.
+    """
+    x = crt_pow(_wrapped(sealed, key.n), key)
+    return _open(sealed, x, key.n), x
+
+
+def _is_kem_secret(x: int, sealed: bytes, key: PublicKey) -> bool:
+    """True iff 0 < x < n and x^e = the wrapped value of ``sealed`` mod n.
+
+    x -> x^e mod n permutes Z_n for an RSA key, so such an x is the one
+    secret that decrypting the entry gives.
+    """
+    try:
+        wrapped = _wrapped(sealed, key.n)
+    except ValueError:
+        return False
+    return 0 < x < key.n and pow(x, key.e, key.n) == wrapped
 
 
 #: Smallest sealing modulus, in bits, at which unseal_all hands half of a
@@ -222,30 +286,52 @@ def unseal_ballot(sealed: bytes, key: KeyPair) -> bytes:
 FORK_BITS = 1024
 
 
-def unseal_all(entries: list[bytes], key: KeyPair) -> list[bytes | None]:
+def unseal_all(
+    entries: list[bytes], key: KeyPair, secrets: list[int | None] | None = None
+) -> list[tuple[bytes, int] | None]:
     """``[unseal_ballot(s, key) for s in entries]``, None for a spoiled entry.
 
-    From FORK_BITS on, with two entries or more, a forked child unseals the
-    second half (:func:`blindsig.fork_map`) and sends each ballot back as
-    hex, or "-" when spoiled.
+    ``secrets[i]``, when given, is a KEM secret recorded for ``entries[i]``.
+    One that checks out (:func:`_is_kem_secret`) opens the entry with one
+    public-exponent power instead of a decryption, with the same result.
+    The other entries are decrypted: from FORK_BITS on, with two or more,
+    a forked child decrypts the second half (:func:`blindsig.fork_map`) and
+    sends each result back as ballot and secret in hex, or "-" when spoiled.
     """
 
-    def unseal(sealed: bytes) -> bytes | None:
+    def unseal(sealed: bytes, x: int | None = None) -> tuple[bytes, int] | None:
         try:
-            return unseal_ballot(sealed, key)
+            return unseal_ballot(sealed, key) if x is None else (_open(sealed, x, key.n), x)
         except ValueError:
             return None
 
-    if len(entries) < 2 or key.n.bit_length() < FORK_BITS:
-        return [unseal(sealed) for sealed in entries]
-    return fork_map(
-        unseal,
-        entries,
-        (len(entries) + 1) // 2,
-        lambda ballot: "-" if ballot is None else ballot.hex(),
-        lambda line: None if line == "-" else bytes.fromhex(line),
-        f"unsealing {len(entries) // 2} ballots",
-    )
+    usable = [
+        x if x is not None and _is_kem_secret(x, sealed, key) else None
+        for sealed, x in zip(entries, secrets or [None] * len(entries))
+    ]
+    rest = [sealed for sealed, x in zip(entries, usable) if x is None]
+    if len(rest) < 2 or key.n.bit_length() < FORK_BITS:
+        decrypted = [unseal(sealed) for sealed in rest]
+    else:
+        decrypted = fork_map(
+            unseal,
+            rest,
+            (len(rest) + 1) // 2,
+            lambda out: "-" if out is None else f"{out[0].hex()} {out[1]:x}",
+            _unsealed_from_line,
+            f"unsealing {len(rest) // 2} ballots",
+        )
+    decrypted = iter(decrypted)
+    return [
+        next(decrypted) if x is None else unseal(sealed, x) for sealed, x in zip(entries, usable)
+    ]
+
+
+def _unsealed_from_line(line: str) -> tuple[bytes, int] | None:
+    if line == "-":
+        return None
+    ballot, x = line.split(" ")
+    return bytes.fromhex(ballot), int(x, 16)
 
 
 def hex_tally(tally: Counter) -> dict[str, int]:

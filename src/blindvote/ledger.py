@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import messages
 from .blindsig import PublicKey
-from .contract import ElectionContract, ElectionParams
+from .contract import ElectionContract, ElectionParams, KemSecrets
 from .errors import AuthFailure, ClockViolation, ParseError, Redeploy, ReplayDivergence
 from .rng import as_rng
 
@@ -69,13 +69,19 @@ class TxReceipt:
 
 
 class Ledger:
-    """Ordered transaction log plus the registry of deployed contracts."""
+    """Ordered transaction log plus the registry of deployed contracts.
 
-    def __init__(self):
+    ``secrets`` maps a contract address to the KEM secrets that the contract
+    deployed there starts with (:meth:`ElectionContract.count`); only a replay
+    of a run's own transcript has them.
+    """
+
+    def __init__(self, secrets: dict[bytes, KemSecrets] | None = None):
         self._log: list[Transaction] = []
         self._results: list[object] = []
         self._clock = 0
         self._contracts: dict[bytes, ElectionContract] = {}
+        self._secrets = secrets or {}
         self._lock = threading.Lock()
 
     @property
@@ -168,7 +174,7 @@ class Ledger:
                 else None
             ),
         )
-        self._contracts[address] = ElectionContract(params)
+        self._contracts[address] = ElectionContract(params, recorded=self._secrets.get(address))
         return address
 
     # -- transcript export / import -------------------------------------------
@@ -207,13 +213,15 @@ def import_log(text: str) -> list[Transaction]:
     return transactions
 
 
-def replay(transactions, expected_results=None) -> Ledger:
+def replay(transactions, expected_results=None, secrets=None) -> Ledger:
     """Re-execute an exported log on a fresh ledger.
 
     Senders are taken on faith (secrets never leave the wire format).
     Structural breaks raise ReplayDivergence with the first bad index;
     when the live run's receipt results are supplied, the first result
-    mismatch is reported the same way.
+    mismatch is reported the same way. An OSError is a failure of the
+    machine, not of the log, and propagates. ``secrets`` are the live
+    contracts' recorded KEM secrets by address (see :class:`Ledger`).
     """
     transactions = list(transactions)
     if expected_results is not None and len(expected_results) != len(transactions):
@@ -221,7 +229,7 @@ def replay(transactions, expected_results=None) -> Ledger:
             f"log has {len(transactions)} entries, expected {len(expected_results)}",
             index=min(len(expected_results), len(transactions)),
         )
-    fresh = Ledger()
+    fresh = Ledger(secrets)
     for pos, tx in enumerate(transactions):
         if tx.index != pos:
             raise ReplayDivergence(
@@ -229,6 +237,8 @@ def replay(transactions, expected_results=None) -> Ledger:
             )
         try:
             result = fresh._apply(tx)
+        except OSError:
+            raise
         except Exception as exc:
             raise ReplayDivergence(
                 f"execution failed at index {pos}: {exc}", index=pos

@@ -33,7 +33,7 @@ from .blindsig import (
     keygens,
     keypair_from_primes,
 )
-from .contract import hex_tally
+from .contract import KemSecrets, hex_tally
 from .errors import (
     CheckFailed,
     ConfigInvalid,
@@ -399,7 +399,17 @@ class Election:
         observer = create_account(self.rng)
         receipt = self.ledger.submit(observer, self.contract_address, messages.Tally())
         self.onchain_tally = receipt.result
-        self.offchain_tally = recount(replay(self.ledger.log))
+        self.offchain_tally = recount(replay(self.ledger.log, secrets=self.kem_secrets()))
+
+    def kem_secrets(self) -> dict[bytes, KemSecrets] | None:
+        """The live contract's recorded KEM secrets, by its address, for the
+        replays of this run's own transcript; None while it has none.
+
+        Only those replays get them: ``verify`` and ``tally`` decrypt every
+        sealed entry, as anyone recounting a transcript has to.
+        """
+        secrets = self.contract.kem_secrets()
+        return None if secrets is None else {self.contract_address: secrets}
 
     def _scan_plaintext(self, transcript: str) -> list[str]:
         """Plaintext ballot bytes that leak into a sealed transcript.
@@ -603,7 +613,9 @@ def _robustness_row(election: Election) -> AssertionRow:
 
 def _verifiability_row(election: Election, transcript: str) -> AssertionRow:
     try:
-        _, replayed = check_transcript(transcript, election.ledger.results)
+        _, replayed = check_transcript(
+            transcript, election.ledger.results, election.kem_secrets()
+        )
     except (ParseError, ReplayDivergence) as exc:
         return _row("verifiability", False, f"replay failed: {exc}")
     if replayed.contracts != election.ledger.contracts:
@@ -681,11 +693,14 @@ def recount(ledger: Ledger) -> Counter:
     return contract.count()
 
 
-def check_transcript(text: str, expected_results=None) -> tuple[list[Transaction], Ledger]:
+def check_transcript(
+    text: str, expected_results=None, secrets=None
+) -> tuple[list[Transaction], Ledger]:
     """Parse a transcript, check it is canonical and replay it.
 
     Raises ParseError or ReplayDivergence, with the first bad index where
-    one line is at fault.
+    one line is at fault. ``expected_results`` and ``secrets`` go to
+    :func:`ledger.replay`.
     """
     txs = import_log(text)
     canonical = export_log(txs)
@@ -693,7 +708,7 @@ def check_transcript(text: str, expected_results=None) -> tuple[list[Transaction
         lines = zip(canonical.splitlines(True), text.splitlines(True))
         index = next((i for i, (a, b) in enumerate(lines) if a != b), None)
         raise ParseError("transcript is not in canonical form", index=index)
-    return txs, replay(txs, expected_results=expected_results)
+    return txs, replay(txs, expected_results=expected_results, secrets=secrets)
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,7 @@ class TestKeygens:
 
     @pytest.mark.parametrize(
         "seeds, error",
-        [([1, 9], RuntimeError), ([9, 1], ValueError)],
+        [([1, 9], ChildProcessError), ([9, 1], ValueError)],
         ids=["in-child", "in-parent"],
     )
     def test_a_failed_key_raises_here_and_reaps_the_child(self, monkeypatch, seeds, error):

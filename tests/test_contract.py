@@ -1,6 +1,7 @@
 """Contract state machine: windows, the judge function, tallying, sealing."""
 
 import dataclasses
+import errno
 import os
 import random
 from collections import Counter
@@ -21,10 +22,12 @@ from blindvote.blindsig import (
     sign_blinded,
     unblind,
 )
+from blindvote.cli import main
 from blindvote.contract import (
     FORK_BITS,
     ElectionContract,
     ElectionParams,
+    KemSecrets,
     hex_tally,
     seal_ballot,
     unseal_all,
@@ -334,13 +337,21 @@ class TestPublishPredicate:
         assert sum(verdicts[30_000:]) == 600
 
 
+#: Three voters, sealed, 1024-bit keys: keygens and every count fork.
+SEALED_1024 = ScenarioConfig(
+    st=10, ct=20, et=30, sealed=True, key_bits=1024, seed=5,
+    voters=[VoterSpec(name, ballot) for name, ballot in
+            [("alice", "ALPHA"), ("bob", "BETA"), ("carol", "ALPHA")]],
+)
+
+
 @pytest.fixture(scope="module")
 def key_1024():
     return keygen(1024, 0)
 
 
 def _unseal_in_turn(entries, key):
-    """The sequential loop that unseal_all must equal."""
+    """The sequential loop that unseal_all must equal: (ballot, secret) or None."""
     out = []
     for sealed in entries:
         try:
@@ -382,8 +393,9 @@ class TestUnsealAll:
     def test_forked_batch_equals_the_loop(self, key_1024, forks):
         entries = _batch(key_1024)
         expected = [b"CANDIDATE-ALPHA", None, b"CANDIDATE-BETA", b"", None, b"CANDIDATE-GAMMA"]
-        assert _unseal_in_turn(entries, key_1024) == expected
-        assert unseal_all(entries, key_1024) == expected
+        in_turn = _unseal_in_turn(entries, key_1024)
+        assert [None if out is None else out[0] for out in in_turn] == expected
+        assert unseal_all(entries, key_1024) == in_turn
         assert len(forks) == 1
 
     def test_contract_counts_a_forked_batch_once(self, key_1024, forks):
@@ -395,25 +407,44 @@ class TestUnsealAll:
         c.publish_key(key_1024.n, key_1024.d, clock=30)
         expected = Counter([b"CANDIDATE-ALPHA", b"CANDIDATE-BETA", b"", b"CANDIDATE-GAMMA"])
         assert c.tally(clock=30) == expected
-        assert list(c._unsealed.values()) == _unseal_in_turn(entries, key_1024)
+        in_turn = _unseal_in_turn(entries, key_1024)
+        assert list(c._unsealed.values()) == [None if out is None else out[0] for out in in_turn]
+        assert c.kem_secrets() == KemSecrets(
+            key_1024.n,
+            key_1024.d,
+            {uuid_of(i): out[1] for i, out in enumerate(in_turn) if out is not None},
+        )
         assert c.count() == expected and len(forks) == 1  # nothing left to unseal
 
     def test_sealed_1024_bit_election(self, tmp_path, forks):
-        config = ScenarioConfig(
-            st=10, ct=20, et=30, sealed=True, key_bits=1024, seed=5,
-            voters=[VoterSpec(name, ballot) for name, ballot in
-                    [("alice", "ALPHA"), ("bob", "BETA"), ("carol", "ALPHA")]],
-        )
-        election = Election(config)
+        election = Election(SEALED_1024)
         election.run()
         assert election.onchain_tally == election.offchain_tally == Counter(
             {b"ALPHA": 2, b"BETA": 1}
         )
-        # keygens, the live tally and count_stage's replay
-        assert len(forks) == 3
+        # keygens and the live tally; count_stage's replay opens each entry
+        # with the secret the live tally recorded
+        assert len(forks) == 2
         report = election.build_report()
         report.write(tmp_path)
         assert verify_transcript(report.transcript_path, report.report_path).ok
+
+    def test_a_failed_fork_in_verify_is_no_divergence(self, tmp_path, monkeypatch, capsys):
+        election = Election(SEALED_1024)
+        election.run()
+        report = election.build_report()
+        report.write(tmp_path)
+
+        def failing_fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        with pytest.raises(OSError):
+            verify_transcript(report.transcript_path, report.report_path)
+        assert main(["verify", report.transcript_path]) == 2
+        out = capsys.readouterr()
+        assert "DIVERGENCE" not in out.out
+        assert os.strerror(errno.EAGAIN) in out.err
 
     def test_a_failing_child_raises_here_and_is_reaped(self, key_1024, monkeypatch):
         parent = os.getpid()
@@ -425,7 +456,7 @@ class TestUnsealAll:
             return unseal(sealed, key)
 
         monkeypatch.setattr(contract, "unseal_ballot", unseal_failing_in_child)
-        with pytest.raises(RuntimeError, match="forked child"):
+        with pytest.raises(ChildProcessError, match="forked child"):
             unseal_all(_batch(key_1024), key_1024)
         with pytest.raises(ChildProcessError):  # no child left, exited or running
             os.waitpid(-1, os.WNOHANG)
@@ -453,16 +484,83 @@ class TestUnsealAll:
         assert unseal_all(entries, key) == _unseal_in_turn(entries, key)
 
 
+def _recorded_cases(key):
+    """(case id, entry, secret, (n, d) recorded under, whether the secret opens it)."""
+    nbytes = (key.n.bit_length() + 7) // 8
+    valid = seal_ballot(b"CANDIDATE-ALPHA", key.public, seed=1)
+    spoiled = bytearray(seal_ballot(b"CANDIDATE-BETA", key.public, seed=2))
+    spoiled[-1] ^= 1
+    entries = {
+        "valid": valid,
+        "spoiled": bytes(spoiled),
+        "outside": key.n.to_bytes(nbytes, "big") + valid[nbytes:],
+        "short": valid[: nbytes + 12 + 15],
+    }
+    other_d = key.d + (key.p - 1) * (key.q - 1)  # the same key's other exponent
+    for kind, sealed in entries.items():
+        # an entry with no wrapped value gets the secret of the valid one
+        source = sealed if kind in ("valid", "spoiled") else valid
+        x = pow(int.from_bytes(source[:nbytes], "big"), key.d, key.n)
+        for name, secret, d in [
+            ("correct", x, key.d),
+            ("off-by-one", x + 1, key.d),
+            ("zero", 0, key.d),
+            ("plus-n", x + key.n, key.d),
+            ("other-key", x, other_d),
+        ]:
+            usable = name == "correct" and kind in ("valid", "spoiled")
+            yield f"{kind}/{name}", sealed, secret, d, usable
+
+
+def _count_one(key, sealed, recorded=None):
+    c = make_contract(sealed=True, sealing=key)
+    c.recorded = recorded
+    uuid = uuid_of(0)
+    assert c.cast(signed_ballot(sealed, uuid), sealed, uuid, clock=20)
+    c.publish_key(key.n, key.d, clock=30)
+    return c.count(), c._unsealed, c.kem_secrets()
+
+
+class TestRecordedSecrets:
+    @pytest.mark.parametrize("bits", [None, 512, 1024], ids=["toy", "512", "1024"])
+    def test_opening_by_secret_equals_decryption(self, monkeypatch, bits):
+        key = SEALING if bits is None else keygen(bits, 3)
+        calls = []
+        unseal = contract.unseal_ballot
+
+        def counted(sealed, key):
+            calls.append(sealed)
+            return unseal(sealed, key)
+
+        monkeypatch.setattr(contract, "unseal_ballot", counted)
+        for case, sealed, secret, d, usable in _recorded_cases(key):
+            decrypted = _count_one(key, sealed)
+            del calls[:]
+            recorded = KemSecrets(key.n, d, {uuid_of(0): secret})
+            assert _count_one(key, sealed, recorded) == decrypted, case
+            assert calls == ([] if usable else [sealed]), case
+
+    def test_forked_batch_with_secrets_equals_the_loop(self, key_1024, forks):
+        entries = _batch(key_1024)
+        in_turn = _unseal_in_turn(entries, key_1024)
+        # correct secrets for entries 0 and 5, a wrong one for 2, none for the rest
+        secrets = [in_turn[0][1], None, in_turn[2][1] + 1, None, None, in_turn[5][1]]
+        assert unseal_all(entries, key_1024, secrets) == in_turn
+        assert len(forks) == 1  # the four entries left are decrypted in two halves
+
+
 class TestSealing:
     def test_roundtrip(self):
         ct = seal_ballot(b"payload", SEALING.public, seed=1)
-        assert unseal_ballot(ct, SEALING) == b"payload"
+        ballot, x = unseal_ballot(ct, SEALING)
+        assert ballot == b"payload"
+        assert pow(x, SEALING.e, SEALING.n) == int.from_bytes(ct[:2], "big")
 
     def test_randomized(self):
         a = seal_ballot(b"same", SEALING.public, seed=1)
         b = seal_ballot(b"same", SEALING.public, seed=2)
         assert a != b
-        assert unseal_ballot(a, SEALING) == unseal_ballot(b, SEALING)
+        assert unseal_ballot(a, SEALING)[0] == unseal_ballot(b, SEALING)[0]
 
     def test_tamper_detected(self):
         ct = bytearray(seal_ballot(b"payload", SEALING.public, seed=3))

@@ -229,8 +229,9 @@ class TestSealedRun:
         assert check.tally_hex == report.tally_hex
 
     def test_each_contract_unseals_a_ballot_once(self, tmp_path, monkeypatch):
-        # count_stage: the live contract and the replayed one (whose Tally
-        # and recount share its unsealed map); verify: one replay
+        # count_stage and the grader: only the live contract decrypts, each
+        # replay opens every entry with the secret it recorded; verify: one
+        # replay, which decrypts. Below FORK_BITS every call is made here.
         calls = []
         unseal = contract.unseal_ballot
 
@@ -239,15 +240,19 @@ class TestSealedRun:
             return unseal(sealed, *key)
 
         monkeypatch.setattr(contract, "unseal_ballot", counted)
-        election = Election(ScenarioConfig.from_json_file(CONFIGS / "sealed.json"))
-        election.run()
-        box = len(election.contract.ballot_box)
-        assert box == 4 and len(calls) == 2 * box
-        report = election.build_report()
-        report.write(tmp_path)
-        del calls[:]
-        assert verify_transcript(report.transcript_path, report.report_path).ok
-        assert len(calls) == box
+        config = ScenarioConfig.from_json_file(CONFIGS / "sealed.json")
+        for key_bits in (None, 512):
+            del calls[:]
+            election = Election(replace(config, key_bits=key_bits))
+            election.run()
+            box = list(election.contract.ballot_box.values())
+            assert len(box) == 4 and calls == box
+            report = election.build_report()
+            report.write(tmp_path / str(key_bits))
+            assert calls == box
+            del calls[:]
+            assert verify_transcript(report.transcript_path, report.report_path).ok
+            assert calls == box
 
     def test_transcript_carries_no_plaintext(self, small_config):
         cfg = replace(small_config, sealed=True)
