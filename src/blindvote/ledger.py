@@ -11,8 +11,10 @@ Wire format, one transaction per line:
 
     index timestamp sender_hex recipient_hex|create kind field...
 
-index and timestamp are decimal; addresses are 40 lowercase hex chars;
-payload fields follow the codecs in ``messages``.
+index and timestamp are decimal without sign or leading zero; addresses
+are 40 lowercase hex chars; payload fields follow the codecs in
+``messages``. Every line ends in ``\n`` and fields are separated by one
+space. Only that form parses, so each log has exactly one transcript.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import hashlib
 import random
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import messages
 from .blindsig import PublicKey
@@ -53,8 +56,10 @@ def derive_contract_address(creator: bytes, index: int) -> bytes:
     ]
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
+    """One logged transaction. A named tuple because a transcript builds one
+    per line, and it builds in about a third of a frozen dataclass's time."""
+
     index: int
     timestamp: int
     sender: bytes
@@ -192,24 +197,46 @@ def export_log(transactions) -> str:
     return "".join(lines)
 
 
+def _decimal(field: str) -> int:
+    """Parse a non-negative integer in exactly the form ``str`` writes."""
+    value = int(field)
+    if value < 0 or str(value) != field:
+        raise ValueError(f"not a canonical decimal: {field!r}")
+    return value
+
+
+def _address(field: str) -> bytes:
+    address = messages.hex_to_bytes(field)
+    if len(address) != ADDRESS_LEN:
+        raise ValueError(f"address is not {ADDRESS_LEN} bytes: {field!r}")
+    return address
+
+
 def import_log(text: str) -> list[Transaction]:
-    """Parse a transcript; a bad line raises ParseError with its index."""
+    """Parse a transcript that is exactly as :func:`export_log` writes it.
+
+    Each field is checked as it is read, so ``export_log`` of the result
+    gives back ``text``. The first bad line raises ParseError with its
+    index; a last line without its ``\n`` is a bad line.
+    """
+    *lines, rest = text.split("\n")
     transactions = []
-    for pos, line in enumerate(text.splitlines()):
+    for pos, line in enumerate(lines):
         try:
             index, timestamp, sender, recipient, kind, *fields = line.split(" ")
-            sender = bytes.fromhex(sender)
-            recipient = None if recipient == "create" else bytes.fromhex(recipient)
-            if len(sender) != ADDRESS_LEN or (
-                recipient is not None and len(recipient) != ADDRESS_LEN
-            ):
-                raise ValueError("malformed address")
-            payload = messages.decode_payload(kind, fields)
             transactions.append(
-                Transaction(int(index), int(timestamp), sender, recipient, payload)
+                Transaction(
+                    _decimal(index),
+                    _decimal(timestamp),
+                    _address(sender),
+                    None if recipient == "create" else _address(recipient),
+                    messages.decode_payload(kind, fields),
+                )
             )
         except (ParseError, ValueError) as exc:
             raise ParseError(f"line {pos + 1}: {exc}", index=pos) from exc
+    if rest:
+        raise ParseError(f"line {len(lines) + 1}: no final newline", index=len(lines))
     return transactions
 
 

@@ -17,12 +17,25 @@ from .blindsig import hex_to_int, int_to_hex
 from .errors import ParseError
 
 
+def hex_to_bytes(field: str) -> bytes:
+    """Parse bytes in exactly the form ``bytes.hex`` writes: lowercase hex
+    digits in pairs, without whitespace."""
+    data = bytes.fromhex(field)
+    if data.hex() != field:
+        raise ValueError(f"not canonical hex: {field!r}")
+    return data
+
+
 def bytes_to_field(data: bytes) -> str:
     return data.hex() if data else "-"
 
 
 def field_to_bytes(field: str) -> bytes:
-    return b"" if field == "-" else bytes.fromhex(field)
+    if field == "-":
+        return b""
+    if not field:
+        raise ValueError("empty bytes are written as '-'")
+    return hex_to_bytes(field)
 
 
 def _field_to_flag(field: str) -> bool:
@@ -38,7 +51,7 @@ OPTIONAL_INT = (
     lambda field: None if field is None else hex_to_int(field),
 )
 BYTES = (bytes_to_field, field_to_bytes)
-HEX = (bytes.hex, bytes.fromhex)
+HEX = (bytes.hex, hex_to_bytes)
 FLAG = (lambda flag: "1" if flag else "0", _field_to_flag)
 
 

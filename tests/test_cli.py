@@ -227,6 +227,31 @@ class TestDivergentTranscripts:
         assert main(["verify", str(transcript)]) == 1
         assert capsys.readouterr().out.startswith(f"DIVERGENCE at index {index}:")
 
+    def test_first_bad_line_named(self, transcript, capsys):
+        assert self._edit_first(transcript, "cast", 1, str.upper) == 16
+        lines = transcript.read_text().splitlines(keepends=True)
+        assert len(lines) == 21
+        parts = lines[20].split(" ")
+        parts[2] = "zz" + parts[2][2:]
+        lines[20] = " ".join(parts)
+        transcript.write_text("".join(lines))
+        assert main(["verify", str(transcript)]) == 1
+        assert capsys.readouterr().out.startswith("DIVERGENCE at index 16:")
+
+    def test_crlf_line_end_named(self, transcript, capsys):
+        lines = transcript.read_bytes().split(b"\n")
+        lines[3] += b"\r"
+        transcript.write_bytes(b"\n".join(lines))
+        assert main(["verify", str(transcript)]) == 1
+        assert capsys.readouterr().out.startswith("DIVERGENCE at index 3:")
+
+    def test_non_ascii_byte_named(self, transcript, capsys):
+        lines = transcript.read_bytes().split(b"\n")
+        lines[5] = lines[5][:20] + b"\xff" + lines[5][21:]
+        transcript.write_bytes(b"\n".join(lines))
+        assert main(["verify", str(transcript)]) == 1
+        assert capsys.readouterr().out.startswith("DIVERGENCE at index 5:")
+
 
 def test_readme_cli_lines_parse():
     # every command in the README's CLI block is one the parser accepts

@@ -215,6 +215,11 @@ class TestWireFormat:
             ("sign_request", ["4d2", "4d2"]),
             ("sign_request", ["-4d2"]),
             ("tally", ["0"]),
+            ("cast", ["4d2", "414C", "01" * 16]),  # upper-case ballot
+            ("cast", ["4d2", "4142", "0A" * 16]),  # upper-case uuid
+            ("cast", ["4d2", "", "01" * 16]),  # empty ballot is "-"
+            ("cast", ["4d2", "41\t42", "01" * 16]),
+            ("cast", ["4d2", "4142", "01" * 16 + "\r"]),
         ],
     )
     def test_malformed_fields_rejected(self, kind, fields):
@@ -228,6 +233,34 @@ class TestWireFormat:
         with pytest.raises(ParseError) as exc:
             import_log("".join(lines))
         assert exc.value.index == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda line: "0" + line,
+            lambda line: "+" + line,
+            lambda line: "\u0662" + line[1:],
+            lambda line: line.replace(" 10 ", " 1_0 "),
+            lambda line: line[:5] + line[5:45].upper() + line[45:],
+            lambda line: line[:-1] + "\r\n",
+            lambda line: line[:45] + "\t" + line[45:],
+        ],
+        ids=["zero", "plus", "arabic-digit", "underscore", "upper", "crlf", "tab"],
+    )
+    def test_non_canonical_line_rejected(self, edit):
+        # each edit leaves a line that int(), bytes.fromhex or splitlines reads
+        lines = self._populated().export().splitlines(keepends=True)
+        assert lines[2].startswith("2 10 ")
+        lines[2] = edit(lines[2])
+        with pytest.raises(ParseError) as exc:
+            import_log("".join(lines))
+        assert exc.value.index == 2
+
+    def test_last_line_needs_its_newline(self):
+        text = self._populated().export()
+        with pytest.raises(ParseError) as exc:
+            import_log(text[:-1])
+        assert exc.value.index == 3
 
     def test_empty_ballot_field(self):
         payload = messages.Cast(signed=1, ballot=b"", uuid=b"\x00" * 16)
