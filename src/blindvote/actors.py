@@ -92,21 +92,20 @@ class Organizer:
         st: int,
         ct: int,
         et: int,
-        sealed: bool = False,
     ) -> bytes:
-        """Deploy the contract and freeze the permission list."""
+        """Deploy the contract and freeze the permission list; the election
+        is sealed when the organizer holds a sealing key."""
         self.permissions = PermissionList(voters)
-        if sealed and self.sealing_key is None:
-            raise ValueError("sealed election requires a sealing keypair")
+        sealing = self.sealing_key
         deploy = messages.Deploy(
             n=self.key.n,
             e=self.key.e,
             st=st,
             ct=ct,
             et=et,
-            sealed=sealed,
-            sealing_n=self.sealing_key.n if sealed else None,
-            sealing_e=self.sealing_key.e if sealed else None,
+            sealed=sealing is not None,
+            sealing_n=sealing.n if sealing else None,
+            sealing_e=sealing.e if sealing else None,
         )
         receipt = ledger.submit(self.account, None, deploy)
         self.contract_address = receipt.result

@@ -13,7 +13,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import messages
-from .actors import voter_cast
 from .blindsig import ballot_digest, fdh, new_uuid
 from .errors import ConfigInvalid, ElectionOpen, UnknownAttack
 from .ledger import create_account
@@ -38,40 +37,38 @@ def _voted(config: ScenarioConfig) -> Election:
     return e
 
 
-def double_vote(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
-    """Recast an already-counted ballot from a fresh anonymous account."""
+def _recast(
+    config: ScenarioConfig, name: str, what: str, rejected: str
+) -> tuple[Election, AttackOutcome]:
+    """Cast the first landed (signed, ballot, uuid) again from a fresh account."""
     e = _voted(config)
     state = _first_landed(e)
-    second = voter_cast(state, e.ledger, e.contract_address, e.rng)
-    e.adversary_cast_results.append(second)
+    payload = messages.Cast(signed=state.signed, ballot=state.ballot, uuid=state.uuid)
+    accepted = bool(e.ledger.submit(create_account(e.rng), e.contract_address, payload).result)
+    e.adversary_cast_results.append(accepted)
     e.count_stage()
     return e, AttackOutcome(
-        name="double-vote",
+        name=name,
         property_exercised="democracy-pmv",
-        succeeded=second,
+        succeeded=accepted,
         expected_success=False,
-        detail="second cast of the same signed ballot "
-        + ("was accepted" if second else "was rejected by the uuid guard"),
+        detail=f"{what} " + ("was accepted" if accepted else rejected),
+    )
+
+
+def double_vote(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
+    """Recast an already-counted ballot from a fresh anonymous account."""
+    return _recast(
+        config,
+        "double-vote",
+        "second cast of the same signed ballot",
+        "was rejected by the uuid guard",
     )
 
 
 def replay_cast(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
     """Eavesdropper resubmits an accepted cast transaction verbatim."""
-    e = _voted(config)
-    state = _first_landed(e)
-    eavesdropper = create_account(e.rng)
-    payload = messages.Cast(signed=state.signed, ballot=state.ballot, uuid=state.uuid)
-    receipt = e.ledger.submit(eavesdropper, e.contract_address, payload)
-    succeeded = bool(receipt.result)
-    e.adversary_cast_results.append(succeeded)
-    e.count_stage()
-    return e, AttackOutcome(
-        name="replay-cast",
-        property_exercised="democracy-pmv",
-        succeeded=succeeded,
-        expected_success=False,
-        detail="replayed triple " + ("was accepted" if succeeded else "was rejected"),
-    )
+    return _recast(config, "replay-cast", "replayed triple", "was rejected")
 
 
 def ineligible(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:

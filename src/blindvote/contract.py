@@ -56,7 +56,6 @@ class ElectionParams:
     st: int
     ct: int
     et: int
-    sealed: bool = False
     sealing_pk: PublicKey | None = None
 
     def __post_init__(self):
@@ -64,10 +63,13 @@ class ElectionParams:
             raise BadWindow(
                 f"need st < ct < et, got st={self.st} ct={self.ct} et={self.et}"
             )
-        if self.sealed != (self.sealing_pk is not None):
-            raise ValueError("sealing_pk must be present exactly when sealed")
         if self.pk.n < 2 or (self.sealed and self.sealing_pk.n < 2):
             raise ValueError("a modulus must be at least 2")
+
+    @property
+    def sealed(self) -> bool:
+        """Sealed mode is deploying a sealing key."""
+        return self.sealing_pk is not None
 
 
 @dataclass
@@ -77,16 +79,15 @@ class ElectionContract:
     params: ElectionParams
     ballot_box: dict[bytes, bytes] = field(default_factory=dict)
     published_key: KeyPair | None = None
-    # KEM secrets another count of this box recorded, handed in by a replay
-    # of the same transcript (see count)
-    recorded: KemSecrets | None = field(default=None, compare=False, repr=False)
-    # uuid -> unsealed ballot, None when spoiled; box entries never change,
-    # so each is decrypted at most once per published key
-    _unsealed: dict[bytes, bytes | None] = field(
+    # uuid -> KEM secret x that another count of this box recorded, handed in
+    # by a replay of the same transcript (see count)
+    recorded: dict[bytes, int] = field(default_factory=dict, compare=False, repr=False)
+    # uuid -> (ballot, KEM secret x) of each entry opened under published_key,
+    # None when spoiled; neither the entries nor the key ever change, so each
+    # entry is opened at most once
+    _opened: dict[bytes, tuple[bytes, int] | None] = field(
         default_factory=dict, compare=False, repr=False
     )
-    # uuid -> KEM secret x of each entry unsealed under published_key
-    _secrets: dict[bytes, int] = field(default_factory=dict, compare=False, repr=False)
 
     # -- call dispatch (used by the ledger) -----------------------------------
 
@@ -129,19 +130,21 @@ class ElectionContract:
         return True
 
     def publish_key(self, n: int, d: int, clock: int) -> None:
-        """Record the sealing private key once the vote window closed.
+        """Record the sealing private key, once, after the vote window closed.
 
         The exponent must invert the sealing key on the base 2 and, with the
         deployed e, factor n, which the CRT decryption needs. For odd n
         factor_modulus checks both (2^(ed - 1) = 1 mod n), so a publish costs
         one full-size modexp; only an even n, where 2 is no unit, needs the
-        separate power.
+        separate power. A second publication is refused.
         """
         p = self.params
         if not p.sealed:
             raise NotSealed("election has no sealed result")
         if clock < p.et:
             raise ElectionOpen(f"publish at clock {clock}, vote ends at {p.et}")
+        if self.published_key is not None:
+            raise KeyMismatch("sealing key already published")
         spk = p.sealing_pk
         if n != spk.n or (n % 2 == 0 and pow(pow(2, spk.e, n), d, n) != 2):
             raise KeyMismatch("private exponent does not invert the sealing key")
@@ -149,8 +152,6 @@ class ElectionContract:
             self.published_key = KeyPair(n, spk.e, d, *factor_modulus(n, spk.e, d))
         except ValueError:
             raise KeyMismatch("private exponent does not invert the sealing key") from None
-        self._unsealed.clear()
-        self._secrets.clear()
 
     def tally(self, clock: int) -> Counter:
         """The on-chain tally: :meth:`count`, once the vote window closed."""
@@ -163,40 +164,28 @@ class ElectionContract:
 
         A sealed entry that does not unseal is spoiled and not counted: the
         organizer signs blind, so any eligible voter can get a payload that
-        is no ciphertext accepted. Secrets ``recorded`` under the published
-        (n, d) are offered to :func:`unseal_all`, which opens an entry with
-        its secret when that checks out and decrypts it otherwise.
+        is no ciphertext accepted. The ``recorded`` secrets are offered to
+        :func:`unseal_all`, which opens an entry with its secret when that
+        checks out and decrypts it otherwise.
         """
-        p = self.params
-        if not p.sealed:
+        if not self.params.sealed:
             return Counter(self.ballot_box.values())
         key = self.published_key
         if key is None:
             raise ResultSealed("sealing key not published")
-        recorded = self.recorded
-        usable = recorded is not None and (recorded.n, recorded.d) == (key.n, key.d)
-        by_uuid = recorded.by_uuid if usable else {}
-        pending = [uuid for uuid in self.ballot_box if uuid not in self._unsealed]
+        pending = [uuid for uuid in self.ballot_box if uuid not in self._opened]
         entries = [self.ballot_box[uuid] for uuid in pending]
-        secrets = [by_uuid.get(uuid) for uuid in pending]
-        for uuid, unsealed in zip(pending, unseal_all(entries, key, secrets)):
-            if unsealed is None:
-                self._unsealed[uuid] = None
-            else:
-                self._unsealed[uuid], self._secrets[uuid] = unsealed
-        return Counter(
-            self._unsealed[uuid] for uuid in self.ballot_box if self._unsealed[uuid] is not None
-        )
+        secrets = [self.recorded.get(uuid) for uuid in pending]
+        self._opened.update(zip(pending, unseal_all(entries, key, secrets)))
+        return Counter(out[0] for out in self._opened.values() if out is not None)
 
-    def kem_secrets(self) -> KemSecrets | None:
-        """The KEM secret of every entry unsealed so far, under the published
-        key; None before publication.
+    def kem_secrets(self) -> dict[bytes, int]:
+        """uuid -> KEM secret of every entry opened so far.
 
         For replays of this contract's own transcript: a replayed contract
         handed these opens each entry with one public-exponent power.
         """
-        key = self.published_key
-        return None if key is None else KemSecrets(key.n, key.d, dict(self._secrets))
+        return {uuid: out[1] for uuid, out in self._opened.items() if out is not None}
 
 
 # --- sealed-mode ballot encryption --------------------------------------------
@@ -217,15 +206,6 @@ def seal_ballot(ballot: bytes, sealing_pk: PublicKey, seed) -> bytes:
     nonce = rng.randbytes(_NONCE_LEN)
     body = AESGCM(_kem_key(x, nbytes)).encrypt(nonce, ballot, None)
     return wrapped + nonce + body
-
-
-@dataclass(frozen=True)
-class KemSecrets:
-    """uuid -> KEM secret x of the box entries a count unsealed under (n, d)."""
-
-    n: int
-    d: int
-    by_uuid: dict[bytes, int]
 
 
 def _wrapped(sealed: bytes, n: int) -> int:

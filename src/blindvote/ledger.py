@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from . import messages
 from .blindsig import PublicKey
-from .contract import ElectionContract, ElectionParams, KemSecrets
+from .contract import ElectionContract, ElectionParams
 from .errors import AuthFailure, ClockViolation, ParseError, Redeploy, ReplayDivergence
 from .rng import as_rng
 
@@ -76,12 +76,12 @@ class TxReceipt:
 class Ledger:
     """Ordered transaction log plus the registry of deployed contracts.
 
-    ``secrets`` maps a contract address to the KEM secrets that the contract
-    deployed there starts with (:meth:`ElectionContract.count`); only a replay
-    of a run's own transcript has them.
+    ``secrets`` maps a contract address to the KEM secrets (uuid -> x) that
+    the contract deployed there starts with (:meth:`ElectionContract.count`);
+    only a replay of a run's own transcript has them.
     """
 
-    def __init__(self, secrets: dict[bytes, KemSecrets] | None = None):
+    def __init__(self, secrets: dict[bytes, dict[bytes, int]] | None = None):
         self._log: list[Transaction] = []
         self._results: list[object] = []
         self._clock = 0
@@ -167,19 +167,12 @@ class Ledger:
         address = derive_contract_address(tx.sender, tx.index)
         if address in self._contracts:
             raise Redeploy(f"contract address {address.hex()} already taken")
+        sealing_pk = PublicKey(payload.sealing_n, payload.sealing_e) if payload.sealed else None
         params = ElectionParams(
-            pk=PublicKey(payload.n, payload.e),
-            st=payload.st,
-            ct=payload.ct,
-            et=payload.et,
-            sealed=payload.sealed,
-            sealing_pk=(
-                PublicKey(payload.sealing_n, payload.sealing_e)
-                if payload.sealed
-                else None
-            ),
+            PublicKey(payload.n, payload.e), payload.st, payload.ct, payload.et, sealing_pk
         )
-        self._contracts[address] = ElectionContract(params, recorded=self._secrets.get(address))
+        recorded = self._secrets.get(address, {})
+        self._contracts[address] = ElectionContract(params, recorded=recorded)
         return address
 
     # -- transcript export / import -------------------------------------------

@@ -33,7 +33,7 @@ from .blindsig import (
     keygens,
     keypair_from_primes,
 )
-from .contract import KemSecrets, hex_tally
+from .contract import hex_tally
 from .errors import (
     CheckFailed,
     ConfigInvalid,
@@ -42,7 +42,7 @@ from .errors import (
     ResultSealed,
     SignRefused,
 )
-from .ledger import Account, Ledger, Transaction, create_account, import_log, replay
+from .ledger import Account, Ledger, create_account, import_log, replay
 from .rng import as_rng
 
 VOTER_KINDS = ("honest", "careless", "unlisted")
@@ -328,7 +328,6 @@ class Election:
             self.config.st,
             self.config.ct,
             self.config.et,
-            sealed=self.config.sealed,
         )
         self.contract = self.ledger.contract(self.contract_address)
 
@@ -399,17 +398,11 @@ class Election:
         observer = create_account(self.rng)
         receipt = self.ledger.submit(observer, self.contract_address, messages.Tally())
         self.onchain_tally = receipt.result
-        self.offchain_tally = recount(replay(self.ledger.log, secrets=self.kem_secrets()))
-
-    def kem_secrets(self) -> dict[bytes, KemSecrets] | None:
-        """The live contract's recorded KEM secrets, by its address, for the
-        replays of this run's own transcript; None while it has none.
-
-        Only those replays get them: ``verify`` and ``tally`` decrypt every
-        sealed entry, as anyone recounting a transcript has to.
-        """
-        secrets = self.contract.kem_secrets()
-        return None if secrets is None else {self.contract_address: secrets}
+        # this run's own replays, here and in the verifiability row, open each
+        # sealed entry with the secret the live count recorded; ``verify`` and
+        # ``tally`` decrypt every entry, as anyone recounting a transcript has to
+        secrets = {self.contract_address: self.contract.kem_secrets()}
+        self.offchain_tally = recount(replay(self.ledger.log, secrets=secrets))
 
     def _scan_plaintext(self, transcript: str) -> list[str]:
         """Plaintext ballot bytes that leak into a sealed transcript.
@@ -612,10 +605,9 @@ def _robustness_row(election: Election) -> AssertionRow:
 
 
 def _verifiability_row(election: Election, transcript: str) -> AssertionRow:
+    secrets = {election.contract_address: election.contract.kem_secrets()}
     try:
-        _, replayed = check_transcript(
-            transcript, election.ledger.results, election.kem_secrets()
-        )
+        replayed = replay(import_log(transcript), election.ledger.results, secrets)
     except (ParseError, ReplayDivergence) as exc:
         return _row("verifiability", False, f"replay failed: {exc}")
     if replayed.contracts != election.ledger.contracts:
@@ -693,19 +685,6 @@ def recount(ledger: Ledger) -> Counter:
     return contract.count()
 
 
-def check_transcript(
-    text: str, expected_results=None, secrets=None
-) -> tuple[list[Transaction], Ledger]:
-    """Parse a transcript in its one canonical form and replay it.
-
-    Raises ParseError or ReplayDivergence, with the first bad index where
-    one line is at fault. ``expected_results`` and ``secrets`` go to
-    :func:`ledger.replay`.
-    """
-    txs = import_log(text)
-    return txs, replay(txs, expected_results=expected_results, secrets=secrets)
-
-
 @dataclass(frozen=True)
 class TranscriptCheck:
     ok: bool
@@ -721,15 +700,17 @@ def verify_transcript(
 
     Any structural break (bad line, index gap, failing execution) and any
     tally or length mismatch against the report counts as divergence. A
-    sealed transcript whose key was never published has no tally. A report
-    that is not a JSON object raises ValueError.
+    sealed transcript whose key was never published has no tally. The
+    report's numbers must be JSON integers. A report that is not a JSON
+    object raises ValueError.
     """
     # the bytes as written: no newline translation, and any non-ASCII byte
     # escaped so that the parser rejects it at its line
     with open(transcript_path, encoding="ascii", errors="backslashreplace", newline="") as f:
         text = f.read()
     try:
-        txs, replayed = check_transcript(text)
+        txs = import_log(text)
+        replayed = replay(txs)
     except (ParseError, ReplayDivergence) as exc:
         return TranscriptCheck(False, str(exc), index=exc.index)
     tally_hex = None
@@ -743,13 +724,17 @@ def verify_transcript(
         doc = json.loads(Path(report_path).read_text())
         if not isinstance(doc, dict):
             raise ValueError("report is not a JSON object")
-        if doc.get("tx_count") != len(txs):
+        # only the JSON integers that run writes: 1 == 1.0 == True in Python
+        tx_count, tally = doc.get("tx_count"), doc.get("tally")
+        if not _is_int(tx_count) or tx_count != len(txs):
             return TranscriptCheck(
                 False,
-                f"transcript has {len(txs)} transactions, report says {doc.get('tx_count')}",
+                f"transcript has {len(txs)} transactions, report says {tx_count}",
                 tally_hex=tally_hex,
             )
-        if tally_hex is not None and doc.get("tally") != tally_hex:
+        if tally_hex is not None and (
+            tally != tally_hex or not all(map(_is_int, tally.values()))
+        ):
             return TranscriptCheck(
                 False, "recomputed tally disagrees with the report", tally_hex=tally_hex
             )

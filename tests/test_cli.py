@@ -253,6 +253,48 @@ class TestDivergentTranscripts:
         assert capsys.readouterr().out.startswith("DIVERGENCE at index 5:")
 
 
+    def test_second_publish_named(self, tmp_path, capsys):
+        out = tmp_path / "sealed"
+        assert main(["run", str(ROOT / "configs" / "sealed.json"), "--out", str(out)]) == 0
+        capsys.readouterr()
+        transcript = out / "transcript.log"
+        lines = transcript.read_text().splitlines(keepends=True)
+        assert [line.split(" ")[4] for line in lines[17:]] == ["publish", "tally\n"]
+        lines.insert(18, lines[17])
+        transcript.write_text(
+            "".join(f"{i} {line.split(' ', 1)[1]}" for i, line in enumerate(lines))
+        )
+        for verb in ("verify", "tally"):
+            assert main([verb, str(transcript)]) == 1
+            assert capsys.readouterr().out.startswith("DIVERGENCE at index 18:")
+
+    @pytest.mark.parametrize(
+        "config, edit",
+        [
+            ("adversarial.json", lambda doc: doc["tally"].update({"42455441": True})),
+            ("honest-10.json", lambda doc: doc.update(tx_count=float(doc["tx_count"]))),
+            (
+                "honest-10.json",
+                lambda doc: doc.update(tally={k: float(c) for k, c in doc["tally"].items()}),
+            ),
+        ],
+        ids=["count-true", "tx-count-float", "counts-float"],
+    )
+    def test_report_numbers_must_be_integers(self, tmp_path, capsys, config, edit):
+        # 1 == True == 1.0 in Python, but run writes only JSON integers
+        out = tmp_path / "run"
+        assert main(["run", str(ROOT / "configs" / config), "--out", str(out)]) == 0
+        report = out / "report.json"
+        doc = json.loads(report.read_text())
+        original = json.loads(report.read_text())
+        edit(doc)
+        assert doc == original and json.dumps(doc) != json.dumps(original)
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(out / "transcript.log"), "--report", str(report)]) == 1
+        assert capsys.readouterr().out.startswith("DIVERGENCE: ")
+
+
 def test_readme_cli_lines_parse():
     # every command in the README's CLI block is one the parser accepts
     section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]

@@ -27,7 +27,6 @@ from blindvote.contract import (
     FORK_BITS,
     ElectionContract,
     ElectionParams,
-    KemSecrets,
     hex_tally,
     seal_ballot,
     unseal_all,
@@ -54,7 +53,6 @@ def make_contract(sealed=False, sealing=SEALING):
             st=10,
             ct=20,
             et=30,
-            sealed=sealed,
             sealing_pk=sealing.public if sealed else None,
         )
     )
@@ -80,10 +78,6 @@ class TestParams:
         with pytest.raises(BadWindow):
             ElectionParams(pk=TOY.public, st=10, ct=10, et=30)
 
-    def test_sealed_requires_key(self):
-        with pytest.raises(ValueError):
-            ElectionParams(pk=TOY.public, st=1, ct=2, et=3, sealed=True)
-
     @pytest.mark.parametrize("sealed", [False, True])
     def test_modulus_below_two_rejected(self, sealed):
         unit = PublicKey(1, 3)
@@ -93,7 +87,6 @@ class TestParams:
                 st=1,
                 ct=2,
                 et=3,
-                sealed=sealed,
                 sealing_pk=unit if sealed else None,
             )
 
@@ -261,6 +254,18 @@ class TestSealedMode:
         assert counted.tally(clock=30) == counted.count() == expected
         assert counted == fresh and repr(counted) == repr(fresh)
 
+    def test_second_publish_refused(self):
+        c, expected = self._with_sealed_casts()
+        c.publish_key(SEALING.n, SEALING.d, clock=30)
+        assert c.tally(clock=30) == expected
+        key, opened = c.published_key, dict(c._opened)
+        phi = (SEALING.p - 1) * (SEALING.q - 1)
+        for d in (SEALING.d, SEALING.d + phi):  # the same key, and its other exponent
+            with pytest.raises(KeyMismatch, match="already published"):
+                c.publish_key(SEALING.n, d, clock=31)
+            assert c.published_key is key and c._opened == opened
+        assert c.tally(clock=31) == expected
+
     def test_publish_before_close(self):
         c, _ = self._with_sealed_casts()
         with pytest.raises(ElectionOpen):
@@ -408,12 +413,10 @@ class TestUnsealAll:
         expected = Counter([b"CANDIDATE-ALPHA", b"CANDIDATE-BETA", b"", b"CANDIDATE-GAMMA"])
         assert c.tally(clock=30) == expected
         in_turn = _unseal_in_turn(entries, key_1024)
-        assert list(c._unsealed.values()) == [None if out is None else out[0] for out in in_turn]
-        assert c.kem_secrets() == KemSecrets(
-            key_1024.n,
-            key_1024.d,
-            {uuid_of(i): out[1] for i, out in enumerate(in_turn) if out is not None},
-        )
+        assert list(c._opened.values()) == in_turn
+        assert c.kem_secrets() == {
+            uuid_of(i): out[1] for i, out in enumerate(in_turn) if out is not None
+        }
         assert c.count() == expected and len(forks) == 1  # nothing left to unseal
 
     def test_sealed_1024_bit_election(self, tmp_path, forks):
@@ -485,7 +488,8 @@ class TestUnsealAll:
 
 
 def _recorded_cases(key):
-    """(case id, entry, secret, (n, d) recorded under, whether the secret opens it)."""
+    """(case id, entry, secret, exponent the count publishes, whether the secret
+    opens it)."""
     nbytes = (key.n.bit_length() + 7) // 8
     valid = seal_ballot(b"CANDIDATE-ALPHA", key.public, seed=1)
     spoiled = bytearray(seal_ballot(b"CANDIDATE-BETA", key.public, seed=2))
@@ -508,17 +512,19 @@ def _recorded_cases(key):
             ("plus-n", x + key.n, key.d),
             ("other-key", x, other_d),
         ]:
-            usable = name == "correct" and kind in ("valid", "spoiled")
+            # a secret that checks out opens its entry whatever exponent the
+            # count publishes: x -> x^e permutes Z_n
+            usable = name in ("correct", "other-key") and kind in ("valid", "spoiled")
             yield f"{kind}/{name}", sealed, secret, d, usable
 
 
-def _count_one(key, sealed, recorded=None):
+def _count_one(key, sealed, recorded=None, d=None):
     c = make_contract(sealed=True, sealing=key)
-    c.recorded = recorded
+    c.recorded = recorded or {}
     uuid = uuid_of(0)
     assert c.cast(signed_ballot(sealed, uuid), sealed, uuid, clock=20)
-    c.publish_key(key.n, key.d, clock=30)
-    return c.count(), c._unsealed, c.kem_secrets()
+    c.publish_key(key.n, key.d if d is None else d, clock=30)
+    return c.count(), c._opened, c.kem_secrets()
 
 
 class TestRecordedSecrets:
@@ -536,8 +542,7 @@ class TestRecordedSecrets:
         for case, sealed, secret, d, usable in _recorded_cases(key):
             decrypted = _count_one(key, sealed)
             del calls[:]
-            recorded = KemSecrets(key.n, d, {uuid_of(0): secret})
-            assert _count_one(key, sealed, recorded) == decrypted, case
+            assert _count_one(key, sealed, {uuid_of(0): secret}, d) == decrypted, case
             assert calls == ([] if usable else [sealed]), case
 
     def test_forked_batch_with_secrets_equals_the_loop(self, key_1024, forks):
