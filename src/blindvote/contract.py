@@ -32,7 +32,7 @@ from .blindsig import (
     ballot_digest,
     crt_pow,
     factor_modulus,
-    fork_map,
+    modexp,
     verify,
 )
 from .errors import (
@@ -146,7 +146,7 @@ class ElectionContract:
         if self.published_key is not None:
             raise KeyMismatch("sealing key already published")
         spk = p.sealing_pk
-        if n != spk.n or (n % 2 == 0 and pow(pow(2, spk.e, n), d, n) != 2):
+        if n != spk.n or (n % 2 == 0 and modexp(pow(2, spk.e, n), d, n) != 2):
             raise KeyMismatch("private exponent does not invert the sealing key")
         try:
             self.published_key = KeyPair(n, spk.e, d, *factor_modulus(n, spk.e, d))
@@ -256,16 +256,6 @@ def _is_kem_secret(x: int, sealed: bytes, key: PublicKey) -> bool:
     return 0 < x < key.n and pow(x, key.e, key.n) == wrapped
 
 
-#: Smallest sealing modulus, in bits, at which unseal_all hands half of a
-#: batch to a forked child. On a 2-vCPU VM (Python 3.11.7, medians) a fork
-#: with its pipe and wait cost 1.6-2 ms in a 30 MiB process (4-5 ms while the
-#: machine was busy), and one CRT unseal 0.24 ms at 512 bits, 1.35 ms at 1024
-#: and 7.4 ms at 2048. So the fork pays from 2 entries at 2048 bits and from
-#: 3 at 1024 (about 8 when busy); at 512 bits it needs about 18 and saves
-#: under 2 ms at 32. Not a setting.
-FORK_BITS = 1024
-
-
 def unseal_all(
     entries: list[bytes], key: KeyPair, secrets: list[int | None] | None = None
 ) -> list[tuple[bytes, int] | None]:
@@ -274,44 +264,18 @@ def unseal_all(
     ``secrets[i]``, when given, is a KEM secret recorded for ``entries[i]``.
     One that checks out (:func:`_is_kem_secret`) opens the entry with one
     public-exponent power instead of a decryption, with the same result.
-    The other entries are decrypted: from FORK_BITS on, with two or more,
-    a forked child decrypts the second half (:func:`blindsig.fork_map`) and
-    sends each result back as ballot and secret in hex, or "-" when spoiled.
+    The other entries are decrypted in turn, each by one CRT power.
     """
 
-    def unseal(sealed: bytes, x: int | None = None) -> tuple[bytes, int] | None:
+    def unseal(sealed: bytes, x: int | None) -> tuple[bytes, int] | None:
         try:
-            return unseal_ballot(sealed, key) if x is None else (_open(sealed, x, key.n), x)
+            if x is not None and _is_kem_secret(x, sealed, key):
+                return _open(sealed, x, key.n), x
+            return unseal_ballot(sealed, key)
         except ValueError:
             return None
 
-    usable = [
-        x if x is not None and _is_kem_secret(x, sealed, key) else None
-        for sealed, x in zip(entries, secrets or [None] * len(entries))
-    ]
-    rest = [sealed for sealed, x in zip(entries, usable) if x is None]
-    if len(rest) < 2 or key.n.bit_length() < FORK_BITS:
-        decrypted = [unseal(sealed) for sealed in rest]
-    else:
-        decrypted = fork_map(
-            unseal,
-            rest,
-            (len(rest) + 1) // 2,
-            lambda out: "-" if out is None else f"{out[0].hex()} {out[1]:x}",
-            _unsealed_from_line,
-            f"unsealing {len(rest) // 2} ballots",
-        )
-    decrypted = iter(decrypted)
-    return [
-        next(decrypted) if x is None else unseal(sealed, x) for sealed, x in zip(entries, usable)
-    ]
-
-
-def _unsealed_from_line(line: str) -> tuple[bytes, int] | None:
-    if line == "-":
-        return None
-    ballot, x = line.split(" ")
-    return bytes.fromhex(ballot), int(x, 16)
+    return [unseal(sealed, x) for sealed, x in zip(entries, secrets or [None] * len(entries))]
 
 
 def hex_tally(tally: Counter) -> dict[str, int]:

@@ -30,7 +30,7 @@ from .blindsig import (
     ballot_digest,
     fdh,
     int_to_hex,
-    keygens,
+    keygen,
     keypair_from_primes,
 )
 from .contract import hex_tally
@@ -302,7 +302,7 @@ class Election:
         else:
             # one child seed per key, drawn before either key is made
             seeds = [self.rng.getrandbits(64) for _ in range(1 + config.sealed)]
-            self.key, *sealing = keygens(config.key_bits, seeds)
+            self.key, *sealing = [keygen(config.key_bits, seed) for seed in seeds]
             self.sealing_key = sealing[0] if sealing else None
         self.ledger = Ledger()
         self.organizer = Organizer(
@@ -700,9 +700,10 @@ def verify_transcript(
 
     Any structural break (bad line, index gap, failing execution) and any
     tally or length mismatch against the report counts as divergence. A
-    sealed transcript whose key was never published has no tally. The
-    report's numbers must be JSON integers. A report that is not a JSON
-    object raises ValueError.
+    sealed transcript whose key was never published has no tally, and its
+    report's tally must be empty, as run writes it. The report's numbers
+    must be JSON integers. A report that is not a JSON object raises
+    ValueError.
     """
     # the bytes as written: no newline translation, and any non-ASCII byte
     # escaped so that the parser rejects it at its line
@@ -732,9 +733,7 @@ def verify_transcript(
                 f"transcript has {len(txs)} transactions, report says {tx_count}",
                 tally_hex=tally_hex,
             )
-        if tally_hex is not None and (
-            tally != tally_hex or not all(map(_is_int, tally.values()))
-        ):
+        if tally != (tally_hex or {}) or not all(map(_is_int, tally.values())):
             return TranscriptCheck(
                 False, "recomputed tally disagrees with the report", tally_hex=tally_hex
             )

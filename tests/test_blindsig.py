@@ -10,8 +10,9 @@ multiplication (no pow()) before the implementation existed:
 """
 
 import math
-import os
 import random
+from contextlib import nullcontext
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from blindvote.blindsig import (
     int_to_hex,
     keygen,
     keypair_from_primes,
+    modexp,
     new_blinding_factor,
     new_uuid,
     sign_blinded,
@@ -121,28 +123,6 @@ class TestPrimality:
 
 
 class TestKeygens:
-    @pytest.mark.parametrize("seeds", [(0, 1), (7, 3), (2**64 - 1, 12345)])
-    def test_equal_to_keygen_in_turn(self, seeds):
-        assert blindsig.keygens(512, list(seeds)) == [keygen(512, s) for s in seeds]
-
-    def test_one_seed_forks_nothing(self, monkeypatch):
-        def no_fork():
-            raise AssertionError("forked for one key")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        assert blindsig.keygens(512, [4]) == [keygen(512, 4)]
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-    def test_failed_fork_closes_the_pipe(self, monkeypatch):
-        def failing_fork():
-            raise OSError("fork failed")
-
-        open_fds = set(os.listdir("/proc/self/fd"))
-        monkeypatch.setattr(os, "fork", failing_fork)
-        with pytest.raises(OSError, match="fork failed"):
-            blindsig.keygens(64, [1, 2])
-        assert set(os.listdir("/proc/self/fd")) == open_fds
-
     def test_sealed_election_keys_as_two_child_generators(self):
         config = ScenarioConfig(
             st=10, ct=20, et=30, voters=[VoterSpec("alice", "ALPHA")],
@@ -153,30 +133,116 @@ class TestKeygens:
         expected = tuple(keygen(512, random.Random(rng.getrandbits(64))) for _ in range(2))
         assert (election.key, election.sealing_key) == expected
 
-    @pytest.mark.parametrize(
-        "seeds, error",
-        [([1, 9], ChildProcessError), ([9, 1], ValueError)],
-        ids=["in-child", "in-parent"],
+
+def _openssl():
+    """The loaded binding; skips the test where libcrypto cannot be loaded."""
+    bn = blindsig._bn()
+    if bn is None:
+        pytest.skip("libcrypto cannot be loaded here")
+    return bn
+
+
+class _Counting:
+    """A libcrypto stand-in that counts the calls to each function."""
+
+    def __init__(self, lib, **overrides):
+        self._lib, self._overrides, self.calls = lib, overrides, []
+
+    def __getattr__(self, name):
+        fn = self._overrides.get(name, getattr(self._lib, name))
+
+        def counted(*args):
+            self.calls.append(name)
+            return fn(*args)
+
+        return counted
+
+
+@st.composite
+def _modexp_case(draw, bits):
+    mod = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    base = draw(
+        st.integers(-4 * mod, 4 * mod)
+        | st.sampled_from([0, 1, mod - 1, mod, mod + 1, 3 * mod])
     )
-    def test_a_failed_key_raises_here_and_reaps_the_child(self, monkeypatch, seeds, error):
-        real_keygen = blindsig.keygen
+    exp = draw(st.integers(0, 1 << bits) | st.sampled_from([0, 1, 2]))
+    return base, exp, mod
 
-        def keygen_failing_on_9(bits, seed):
-            if seed == 9:
-                raise ValueError("no key for seed 9")
-            return real_keygen(bits, seed)
 
-        monkeypatch.setattr(blindsig, "keygen", keygen_failing_on_9)
-        with pytest.raises(error, match=r"seeds? \[?9\b"):
-            blindsig.keygens(64, seeds)
-        with pytest.raises(ChildProcessError):  # no child left, exited or running
-            os.waitpid(-1, os.WNOHANG)
+class TestModexp:
+    @pytest.mark.parametrize("native", [True, False], ids=["openssl", "pow"])
+    @pytest.mark.parametrize("bits", [2, 17, blindsig.NATIVE_BITS - 1, blindsig.NATIVE_BITS, 256, 1024])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_equals_pow(self, native, bits, data):
+        if native:
+            _openssl()
+        base, exp, mod = data.draw(_modexp_case(bits))
+        with nullcontext() if native else _no_openssl():
+            assert modexp(base, exp, mod) == pow(base, exp, mod)
+
+    @pytest.mark.parametrize("native", [True, False], ids=["openssl", "pow"])
+    @pytest.mark.parametrize("mod", [
+        2**127 - 1,  # prime
+        2**130,  # even
+        3**81,  # odd, composite
+        (2**89 - 1) * (2**61 - 1),
+    ])
+    def test_edges(self, native, mod):
+        if native:
+            _openssl()
+        with nullcontext() if native else _no_openssl():
+            for base in (0, 1, mod - 1, mod, mod + 5, 7 * mod, -3):
+                for exp in (0, 1, 2, mod - 1, mod, 3 * mod + 1):
+                    assert modexp(base, exp, mod) == pow(base, exp, mod), (base, exp)
+
+    def test_openssl_from_native_bits_on(self, monkeypatch):
+        lib, buffer = _openssl()
+        counting = _Counting(lib)
+        monkeypatch.setattr(blindsig, "_bn", lambda: (counting, buffer))
+        below, at = (1 << (blindsig.NATIVE_BITS - 2)) + 1, (1 << (blindsig.NATIVE_BITS - 1)) + 1
+        assert modexp(3, below - 2, below) == pow(3, below - 2, below)
+        assert counting.calls == []
+        assert modexp(3, at - 2, at) == pow(3, at - 2, at)
+        assert counting.calls.count("BN_mod_exp") == 1
+
+    def test_a_failed_call_raises_and_frees(self, monkeypatch):
+        lib, buffer = _openssl()
+        failing = _Counting(lib, BN_mod_exp=lambda *args: 0)
+        monkeypatch.setattr(blindsig, "_bn", lambda: (failing, buffer))
+        with pytest.raises(OSError, match="BN_mod_exp failed for a 256-bit modulus"):
+            modexp(5, 2**255 + 7, 2**255 + 19)
+        # the result and three operands, then the context
+        assert failing.calls[-5:] == ["BN_clear_free"] * 4 + ["BN_CTX_free"]
+
+    def test_keys_do_not_depend_on_openssl(self):
+        _openssl()
+        for bits, seed in [(512, 0), (512, 7), (1024, 1)]:
+            with _no_openssl():
+                expected = keygen(bits, seed)
+            assert keygen(bits, seed) == expected
+
+
+def _no_openssl():
+    """Makes modexp fall back to pow, as where libcrypto cannot be loaded."""
+    return mock.patch.object(blindsig, "_bn", lambda: None)
 
 
 class TestCRT:
     @pytest.mark.parametrize("key", [TOY, TOY_SEALING_KEYPAIR], ids=["signing", "sealing"])
     def test_crt_pow_equals_pow_everywhere(self, key):
         assert all(crt_pow(x, key) == pow(x, key.d, key.n) for x in range(key.n))
+
+    @pytest.mark.parametrize("native", [True, False], ids=["openssl", "pow"])
+    def test_crt_pow_above_the_crossover(self, native):
+        key = keygen(512, 2)
+        if native:
+            _openssl()
+        # multiples of p or q: one CRT half raises 0 to its exponent
+        xs = [0, 1, key.q, key.p, 3 * key.p, key.n - key.p, key.n - 1, key.n, 5 * key.n + 2]
+        xs += [random.Random(i).randrange(key.n) for i in range(8)]
+        with nullcontext() if native else _no_openssl():
+            assert [crt_pow(x, key) for x in xs] == [pow(x, key.d, key.n) for x in xs]
 
     def test_toy_primes_larger_first(self):
         assert (TOY.p, TOY.q) == (61, 53)

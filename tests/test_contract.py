@@ -1,14 +1,12 @@
 """Contract state machine: windows, the judge function, tallying, sealing."""
 
 import dataclasses
-import errno
-import os
 import random
 from collections import Counter
 
 import pytest
 
-from blindvote import contract
+from blindvote import blindsig, contract
 from blindvote.blindsig import (
     TOY_KEYPAIR,
     KeyPair,
@@ -24,7 +22,6 @@ from blindvote.blindsig import (
 )
 from blindvote.cli import main
 from blindvote.contract import (
-    FORK_BITS,
     ElectionContract,
     ElectionParams,
     hex_tally,
@@ -342,7 +339,7 @@ class TestPublishPredicate:
         assert sum(verdicts[30_000:]) == 600
 
 
-#: Three voters, sealed, 1024-bit keys: keygens and every count fork.
+#: Three voters, sealed, 1024-bit keys: every private power runs in OpenSSL.
 SEALED_1024 = ScenarioConfig(
     st=10, ct=20, et=30, sealed=True, key_bits=1024, seed=5,
     voters=[VoterSpec(name, ballot) for name, ballot in
@@ -367,7 +364,7 @@ def _unseal_in_turn(entries, key):
 
 
 def _batch(key):
-    """Six entries: a spoiled one in each half, an empty ballot in the child's."""
+    """Six entries: two spoiled ones and an empty ballot."""
     tampered = bytearray(seal_ballot(b"CANDIDATE-BETA", key.public, seed=7))
     tampered[-1] ^= 1
     return [
@@ -381,29 +378,44 @@ def _batch(key):
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """Counts os.fork calls; each still forks."""
-    count = []
-    real_fork = os.fork
+def unseal_calls(monkeypatch):
+    """The entries handed to contract.unseal_ballot, which still decrypts."""
+    calls = []
+    unseal = contract.unseal_ballot
 
-    def counting_fork():
-        count.append(1)
-        return real_fork()
+    def counted(sealed, key):
+        calls.append(sealed)
+        return unseal(sealed, key)
 
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return count
+    monkeypatch.setattr(contract, "unseal_ballot", counted)
+    return calls
+
+
+class _FailingModExp:
+    """libcrypto with a BN_mod_exp that fails, as on an allocation failure."""
+
+    def __init__(self, lib):
+        self._lib = lib
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    @staticmethod
+    def BN_mod_exp(*args):
+        return 0
 
 
 class TestUnsealAll:
-    def test_forked_batch_equals_the_loop(self, key_1024, forks):
-        entries = _batch(key_1024)
+    @pytest.mark.parametrize("bits", [512, 1024, 2048])
+    def test_batch_equals_the_loop(self, bits):
+        key = keygen(bits, 0)
+        entries = _batch(key)
         expected = [b"CANDIDATE-ALPHA", None, b"CANDIDATE-BETA", b"", None, b"CANDIDATE-GAMMA"]
-        in_turn = _unseal_in_turn(entries, key_1024)
+        in_turn = _unseal_in_turn(entries, key)
         assert [None if out is None else out[0] for out in in_turn] == expected
-        assert unseal_all(entries, key_1024) == in_turn
-        assert len(forks) == 1
+        assert unseal_all(entries, key) == in_turn
 
-    def test_contract_counts_a_forked_batch_once(self, key_1024, forks):
+    def test_contract_counts_a_batch_once(self, key_1024, unseal_calls):
         c = make_contract(sealed=True, sealing=key_1024)
         entries = _batch(key_1024)
         for i, sealed in enumerate(entries):
@@ -412,79 +424,43 @@ class TestUnsealAll:
         c.publish_key(key_1024.n, key_1024.d, clock=30)
         expected = Counter([b"CANDIDATE-ALPHA", b"CANDIDATE-BETA", b"", b"CANDIDATE-GAMMA"])
         assert c.tally(clock=30) == expected
+        assert unseal_calls == entries
         in_turn = _unseal_in_turn(entries, key_1024)
         assert list(c._opened.values()) == in_turn
         assert c.kem_secrets() == {
             uuid_of(i): out[1] for i, out in enumerate(in_turn) if out is not None
         }
-        assert c.count() == expected and len(forks) == 1  # nothing left to unseal
+        del unseal_calls[:]
+        assert c.count() == expected and unseal_calls == []  # nothing left to unseal
 
-    def test_sealed_1024_bit_election(self, tmp_path, forks):
+    def test_sealed_1024_bit_election(self, tmp_path):
         election = Election(SEALED_1024)
         election.run()
         assert election.onchain_tally == election.offchain_tally == Counter(
             {b"ALPHA": 2, b"BETA": 1}
         )
-        # keygens and the live tally; count_stage's replay opens each entry
-        # with the secret the live tally recorded
-        assert len(forks) == 2
         report = election.build_report()
         report.write(tmp_path)
         assert verify_transcript(report.transcript_path, report.report_path).ok
 
-    def test_a_failed_fork_in_verify_is_no_divergence(self, tmp_path, monkeypatch, capsys):
+    def test_a_failed_native_call_in_verify_is_no_divergence(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        if blindsig._bn() is None:
+            pytest.skip("libcrypto cannot be loaded here")
         election = Election(SEALED_1024)
         election.run()
         report = election.build_report()
         report.write(tmp_path)
 
-        def failing_fork():
-            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        monkeypatch.setattr(os, "fork", failing_fork)
-        with pytest.raises(OSError):
+        lib, buffer = blindsig._bn()
+        monkeypatch.setattr(blindsig, "_bn", lambda: (_FailingModExp(lib), buffer))
+        with pytest.raises(OSError, match="BN_mod_exp failed"):
             verify_transcript(report.transcript_path, report.report_path)
         assert main(["verify", report.transcript_path]) == 2
         out = capsys.readouterr()
         assert "DIVERGENCE" not in out.out
-        assert os.strerror(errno.EAGAIN) in out.err
-
-    def test_a_failing_child_raises_here_and_is_reaped(self, key_1024, monkeypatch):
-        parent = os.getpid()
-        unseal = contract.unseal_ballot
-
-        def unseal_failing_in_child(sealed, key):
-            if os.getpid() != parent:
-                raise ZeroDivisionError("not a ValueError: the child fails")
-            return unseal(sealed, key)
-
-        monkeypatch.setattr(contract, "unseal_ballot", unseal_failing_in_child)
-        with pytest.raises(ChildProcessError, match="forked child"):
-            unseal_all(_batch(key_1024), key_1024)
-        with pytest.raises(ChildProcessError):  # no child left, exited or running
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-    def test_failed_fork_closes_the_pipe(self, key_1024, monkeypatch):
-        def failing_fork():
-            raise OSError("fork failed")
-
-        entries = _batch(key_1024)
-        open_fds = set(os.listdir("/proc/self/fd"))
-        monkeypatch.setattr(os, "fork", failing_fork)
-        with pytest.raises(OSError, match="fork failed"):
-            unseal_all(entries, key_1024)
-        assert set(os.listdir("/proc/self/fd")) == open_fds
-
-    @pytest.mark.parametrize("bits, size", [(512, 6), (FORK_BITS - 1, 6), (FORK_BITS, 1)])
-    def test_below_the_floor_nothing_forks(self, monkeypatch, bits, size):
-        def no_fork():
-            raise AssertionError("forked below the floor")
-
-        key = keygen(bits, 0)
-        entries = _batch(key)[:size]
-        monkeypatch.setattr(os, "fork", no_fork)
-        assert unseal_all(entries, key) == _unseal_in_turn(entries, key)
+        assert "BN_mod_exp failed for a 1024-bit modulus" in out.err
 
 
 def _recorded_cases(key):
@@ -529,29 +505,22 @@ def _count_one(key, sealed, recorded=None, d=None):
 
 class TestRecordedSecrets:
     @pytest.mark.parametrize("bits", [None, 512, 1024], ids=["toy", "512", "1024"])
-    def test_opening_by_secret_equals_decryption(self, monkeypatch, bits):
+    def test_opening_by_secret_equals_decryption(self, unseal_calls, bits):
         key = SEALING if bits is None else keygen(bits, 3)
-        calls = []
-        unseal = contract.unseal_ballot
-
-        def counted(sealed, key):
-            calls.append(sealed)
-            return unseal(sealed, key)
-
-        monkeypatch.setattr(contract, "unseal_ballot", counted)
         for case, sealed, secret, d, usable in _recorded_cases(key):
             decrypted = _count_one(key, sealed)
-            del calls[:]
+            del unseal_calls[:]
             assert _count_one(key, sealed, {uuid_of(0): secret}, d) == decrypted, case
-            assert calls == ([] if usable else [sealed]), case
+            assert unseal_calls == ([] if usable else [sealed]), case
 
-    def test_forked_batch_with_secrets_equals_the_loop(self, key_1024, forks):
+    def test_batch_with_secrets_equals_the_loop(self, key_1024, unseal_calls):
         entries = _batch(key_1024)
         in_turn = _unseal_in_turn(entries, key_1024)
         # correct secrets for entries 0 and 5, a wrong one for 2, none for the rest
         secrets = [in_turn[0][1], None, in_turn[2][1] + 1, None, None, in_turn[5][1]]
+        del unseal_calls[:]
         assert unseal_all(entries, key_1024, secrets) == in_turn
-        assert len(forks) == 1  # the four entries left are decrypted in two halves
+        assert unseal_calls == entries[1:5]  # only the entries left are decrypted
 
 
 class TestSealing:

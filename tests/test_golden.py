@@ -8,7 +8,8 @@ random configs mixing honest, careless and unlisted voters, sealed and
 unsealed, toy keys plus one 128-bit key. Two more cases run shipped configs
 with real keys whose primes exceed 80 bits, so key generation draws its
 random Miller-Rabin bases: configs/sealed.json at 512 bits (both keys) and
-configs/adversarial.json at 256 bits.
+configs/adversarial.json at 256 bits. Those two also run with
+``blindsig.modexp`` on ``pow`` alone, as where libcrypto cannot be loaded.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from blindvote import blindsig
 from blindvote.attacks import ATTACKS, run_attack
 from blindvote.scenario import ScenarioConfig, VoterSpec, run_scenario
 
@@ -124,4 +126,11 @@ CASES = list(_cases())
 
 @pytest.mark.parametrize("name,attack,config", CASES, ids=[c[0] for c in CASES])
 def test_artifacts_byte_identical(name, attack, config, tmp_path):
+    assert artifact_hashes(attack, config, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["config-sealed-512", "config-adversarial-256"])
+def test_real_keys_byte_identical_without_openssl(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(blindsig, "_bn", lambda: None)
+    _, attack, config = next(case for case in CASES if case[0] == name)
     assert artifact_hashes(attack, config, tmp_path) == GOLDEN[name]

@@ -231,7 +231,7 @@ class TestSealedRun:
     def test_each_contract_unseals_a_ballot_once(self, tmp_path, monkeypatch):
         # count_stage and the grader: only the live contract decrypts, each
         # replay opens every entry with the secret it recorded; verify: one
-        # replay, which decrypts. Below FORK_BITS every call is made here.
+        # replay, which decrypts
         calls = []
         unseal = contract.unseal_ballot
 
@@ -324,3 +324,16 @@ class TestTranscripts:
         election.vote_stage()
         with pytest.raises(ResultSealed):
             recount(replay(import_log(election.ledger.export())))
+
+    @pytest.mark.parametrize("tally, ok", [({}, True), ({"41": 99}, False)], ids=["empty", "votes"])
+    def test_unpublished_report_tally_must_be_empty(self, tmp_path, tally, ok):
+        election = Election(ScenarioConfig.from_json_file(CONFIGS / "sealed.json"))
+        election.setup_stage()
+        election.sign_stage()
+        election.vote_stage()
+        text = election.ledger.export()
+        (tmp_path / "transcript.log").write_text(text)
+        report = {"tx_count": len(import_log(text)), "tally": tally}
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        check = verify_transcript(tmp_path / "transcript.log", tmp_path / "report.json")
+        assert check.ok == ok and check.tally_hex is None
