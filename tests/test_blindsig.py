@@ -10,6 +10,7 @@ multiplication (no pow()) before the implementation existed:
 """
 
 import math
+import os
 import random
 from contextlib import nullcontext
 from unittest import mock
@@ -122,7 +123,24 @@ class TestPrimality:
         assert rng.getstate() == twin.getstate()
 
 
+def _no_fork():
+    raise AssertionError("forked")
+
+
 class TestKeygens:
+    @pytest.mark.parametrize("seeds", [(0, 1), (7, 3), (2**64 - 1, 12345)])
+    def test_equal_to_keygen_in_turn(self, seeds):
+        # keys made one after the other in one process leave nothing behind:
+        # made in the other order, each key is the same
+        in_turn = [keygen(512, s) for s in seeds]
+        assert [keygen(512, s) for s in reversed(seeds)] == in_turn[::-1]
+
+    def test_one_seed_forks_nothing(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", _no_fork)
+        key = keygen(512, 4)
+        with _no_openssl():
+            assert keygen(512, 4) == key
+
     def test_sealed_election_keys_as_two_child_generators(self):
         config = ScenarioConfig(
             st=10, ct=20, et=30, voters=[VoterSpec("alice", "ALPHA")],

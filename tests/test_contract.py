@@ -1,6 +1,8 @@
 """Contract state machine: windows, the judge function, tallying, sealing."""
 
 import dataclasses
+import errno
+import os
 import random
 from collections import Counter
 
@@ -442,6 +444,34 @@ class TestUnsealAll:
         report = election.build_report()
         report.write(tmp_path)
         assert verify_transcript(report.transcript_path, report.report_path).ok
+
+    def test_a_failed_fork_in_verify_is_no_divergence(self, tmp_path, monkeypatch, capsys):
+        # at the process limit a refused fork no longer fails verify: it never forks
+        election = Election(SEALED_1024)
+        election.run()
+        report = election.build_report()
+        report.write(tmp_path)
+
+        def failing_fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert verify_transcript(report.transcript_path, report.report_path).ok
+        assert main(["verify", report.transcript_path]) == 0
+        out = capsys.readouterr()
+        assert "DIVERGENCE" not in out.out
+        assert os.strerror(errno.EAGAIN) not in out.err
+
+    @pytest.mark.parametrize("bits, size", [(512, 6), (1023, 6), (1024, 1)])
+    def test_below_the_floor_nothing_forks(self, monkeypatch, bits, size):
+        # 1024 bits was the floor from which a batch forked; now none does
+        def no_fork():
+            raise AssertionError("forked")
+
+        key = keygen(bits, 0)
+        entries = _batch(key)[:size]
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert unseal_all(entries, key) == _unseal_in_turn(entries, key)
 
     def test_a_failed_native_call_in_verify_is_no_divergence(
         self, tmp_path, monkeypatch, capsys
