@@ -164,19 +164,17 @@ class ElectionContract:
 
         A sealed entry that does not unseal is spoiled and not counted: the
         organizer signs blind, so any eligible voter can get a payload that
-        is no ciphertext accepted. The ``recorded`` secrets are offered to
-        :func:`unseal_all`, which opens an entry with its secret when that
-        checks out and decrypts it otherwise.
+        is no ciphertext accepted. An entry with a ``recorded`` secret that
+        checks out is opened with it instead of being decrypted.
         """
         if not self.params.sealed:
             return Counter(self.ballot_box.values())
         key = self.published_key
         if key is None:
             raise ResultSealed("sealing key not published")
-        pending = [uuid for uuid in self.ballot_box if uuid not in self._opened]
-        entries = [self.ballot_box[uuid] for uuid in pending]
-        secrets = [self.recorded.get(uuid) for uuid in pending]
-        self._opened.update(zip(pending, unseal_all(entries, key, secrets)))
+        for uuid, sealed in self.ballot_box.items():
+            if uuid not in self._opened:
+                self._opened[uuid] = _open_entry(sealed, key, self.recorded.get(uuid))
         return Counter(out[0] for out in self._opened.values() if out is not None)
 
     def kem_secrets(self) -> dict[bytes, int]:
@@ -243,39 +241,23 @@ def unseal_ballot(sealed: bytes, key: KeyPair) -> tuple[bytes, int]:
     return _open(sealed, x, key.n), x
 
 
-def _is_kem_secret(x: int, sealed: bytes, key: PublicKey) -> bool:
-    """True iff 0 < x < n and x^e = the wrapped value of ``sealed`` mod n.
+def _open_entry(sealed: bytes, key: KeyPair, x: int | None) -> tuple[bytes, int] | None:
+    """:func:`unseal_ballot` of one box entry, None when it is spoiled.
 
-    x -> x^e mod n permutes Z_n for an RSA key, so such an x is the one
-    secret that decrypting the entry gives.
+    A recorded secret x opens the entry when 0 < x < n and x^e equals its
+    wrapped value mod n, one public-exponent power: x -> x^e mod n permutes
+    Z_n for an RSA key, so that x is the one secret decrypting gives.
     """
     try:
         wrapped = _wrapped(sealed, key.n)
     except ValueError:
-        return False
-    return 0 < x < key.n and pow(x, key.e, key.n) == wrapped
-
-
-def unseal_all(
-    entries: list[bytes], key: KeyPair, secrets: list[int | None] | None = None
-) -> list[tuple[bytes, int] | None]:
-    """``[unseal_ballot(s, key) for s in entries]``, None for a spoiled entry.
-
-    ``secrets[i]``, when given, is a KEM secret recorded for ``entries[i]``.
-    One that checks out (:func:`_is_kem_secret`) opens the entry with one
-    public-exponent power instead of a decryption, with the same result.
-    The other entries are decrypted in turn, each by one CRT power.
-    """
-
-    def unseal(sealed: bytes, x: int | None) -> tuple[bytes, int] | None:
-        try:
-            if x is not None and _is_kem_secret(x, sealed, key):
-                return _open(sealed, x, key.n), x
-            return unseal_ballot(sealed, key)
-        except ValueError:
-            return None
-
-    return [unseal(sealed, x) for sealed, x in zip(entries, secrets or [None] * len(entries))]
+        wrapped = None  # no secret opens it; unseal_ballot spoils it
+    try:
+        if x is not None and 0 < x < key.n and pow(x, key.e, key.n) == wrapped:
+            return _open(sealed, x, key.n), x
+        return unseal_ballot(sealed, key)
+    except ValueError:
+        return None
 
 
 def hex_tally(tally: Counter) -> dict[str, int]:

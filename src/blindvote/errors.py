@@ -1,9 +1,12 @@
 """Protocol-level exception types, shared across modules.
 
 Every failure the simulator distinguishes gets its own class so tests can
-assert on the exact kind. Boolean protocol outcomes (a rejected ballot, a
-failed signature check) are return values, not exceptions; exceptions are
-reserved for contract violations and out-of-window calls.
+assert on the exact kind. The contract's verdict on a call (a rejected
+ballot, a failed signature check) is a return value, which the ledger
+records as the transaction's result. Exceptions are for contract
+violations, out-of-window calls and an actor step that cannot go on:
+``voter_obtain_signature`` raises SignRefused when the organizer refuses
+and CheckFailed when the contract rejects the organizer's signature.
 """
 
 

@@ -146,11 +146,11 @@ class ScenarioConfig:
         windows = doc.get("windows")
         if not isinstance(windows, dict) or set(windows) != set(WINDOWS):
             raise ConfigInvalid("windows: object with st, ct, et required")
-        entries = doc.get("voters") or []
-        if not isinstance(entries, list):
+        entries = doc.get("voters")
+        if not isinstance(entries, (list, type(None))):
             raise ConfigInvalid("voters: must be a list")
         voters = []
-        for i, entry in enumerate(entries):
+        for i, entry in enumerate(entries or []):
             if not isinstance(entry, dict):
                 raise ConfigInvalid(f"voters[{i}]: must be an object")
             try:

@@ -28,7 +28,6 @@ from blindvote.contract import (
     ElectionParams,
     hex_tally,
     seal_ballot,
-    unseal_all,
     unseal_ballot,
 )
 from blindvote.errors import (
@@ -355,7 +354,7 @@ def key_1024():
 
 
 def _unseal_in_turn(entries, key):
-    """The sequential loop that unseal_all must equal: (ballot, secret) or None."""
+    """The one-at-a-time loop a count must equal: (ballot, secret) or None."""
     out = []
     for sealed in entries:
         try:
@@ -377,6 +376,16 @@ def _batch(key):
         b"NOT-A-CIPHERTEXT",
         seal_ballot(b"CANDIDATE-GAMMA", key.public, seed=4),
     ]
+
+
+def _published(key, entries):
+    """A sealed contract holding ``entries`` under uuid_of(0), ..., key published."""
+    c = make_contract(sealed=True, sealing=key)
+    for i, sealed in enumerate(entries):
+        uuid = uuid_of(i)
+        assert c.cast(signed_ballot(sealed, uuid), sealed, uuid, clock=20)
+    c.publish_key(key.n, key.d, clock=30)
+    return c
 
 
 @pytest.fixture
@@ -415,15 +424,13 @@ class TestUnsealAll:
         expected = [b"CANDIDATE-ALPHA", None, b"CANDIDATE-BETA", b"", None, b"CANDIDATE-GAMMA"]
         in_turn = _unseal_in_turn(entries, key)
         assert [None if out is None else out[0] for out in in_turn] == expected
-        assert unseal_all(entries, key) == in_turn
+        c = _published(key, entries)
+        c.count()
+        assert list(c._opened.values()) == in_turn
 
     def test_contract_counts_a_batch_once(self, key_1024, unseal_calls):
-        c = make_contract(sealed=True, sealing=key_1024)
         entries = _batch(key_1024)
-        for i, sealed in enumerate(entries):
-            uuid = uuid_of(i)
-            assert c.cast(signed_ballot(sealed, uuid), sealed, uuid, clock=20)
-        c.publish_key(key_1024.n, key_1024.d, clock=30)
+        c = _published(key_1024, entries)
         expected = Counter([b"CANDIDATE-ALPHA", b"CANDIDATE-BETA", b"", b"CANDIDATE-GAMMA"])
         assert c.tally(clock=30) == expected
         assert unseal_calls == entries
@@ -470,8 +477,10 @@ class TestUnsealAll:
 
         key = keygen(bits, 0)
         entries = _batch(key)[:size]
+        c = _published(key, entries)
         monkeypatch.setattr(os, "fork", no_fork)
-        assert unseal_all(entries, key) == _unseal_in_turn(entries, key)
+        c.count()
+        assert list(c._opened.values()) == _unseal_in_turn(entries, key)
 
     def test_a_failed_native_call_in_verify_is_no_divergence(
         self, tmp_path, monkeypatch, capsys
@@ -546,10 +555,14 @@ class TestRecordedSecrets:
     def test_batch_with_secrets_equals_the_loop(self, key_1024, unseal_calls):
         entries = _batch(key_1024)
         in_turn = _unseal_in_turn(entries, key_1024)
+        c = _published(key_1024, entries)
         # correct secrets for entries 0 and 5, a wrong one for 2, none for the rest
-        secrets = [in_turn[0][1], None, in_turn[2][1] + 1, None, None, in_turn[5][1]]
+        c.recorded = {
+            uuid_of(0): in_turn[0][1], uuid_of(2): in_turn[2][1] + 1, uuid_of(5): in_turn[5][1]
+        }
         del unseal_calls[:]
-        assert unseal_all(entries, key_1024, secrets) == in_turn
+        c.count()
+        assert list(c._opened.values()) == in_turn
         assert unseal_calls == entries[1:5]  # only the entries left are decrypted
 
 

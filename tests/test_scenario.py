@@ -74,6 +74,16 @@ class TestConfig:
                 {"windows": {"st": 1, "ct": 2, "et": 3}, "voters": [], "bogus": 1}
             )
 
+    @pytest.mark.parametrize("voters", [{}, "", 0, False, "A", {"a": "A"}])
+    def test_voters_not_a_list_rejected(self, voters):
+        with pytest.raises(ConfigInvalid, match="voters: must be a list"):
+            ScenarioConfig.from_dict({"windows": {"st": 1, "ct": 2, "et": 3}, "voters": voters})
+
+    @pytest.mark.parametrize("doc", [{}, {"voters": None}], ids=["absent", "null"])
+    def test_no_voters_is_an_empty_list(self, doc):
+        with pytest.raises(ConfigInvalid, match="voters: at least one required"):
+            ScenarioConfig.from_dict({"windows": {"st": 1, "ct": 2, "et": 3}, **doc})
+
     def test_dict_round_trip(self, honest_config):
         assert ScenarioConfig.from_dict(honest_config.to_dict()) == honest_config
 
