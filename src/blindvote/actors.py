@@ -79,7 +79,7 @@ class Organizer:
         self.contract_address: bytes | None = None
         self.issued = 0  # non-zero signatures handed out
         self._cursor = 0  # first log index not yet scanned for requests
-        self._windows: tuple[int, int] | None = None
+        self.deploy: messages.Deploy | None = None  # the payload setup submitted
 
     @property
     def address(self) -> bytes:
@@ -109,7 +109,7 @@ class Organizer:
         )
         receipt = ledger.submit(self.account, None, deploy)
         self.contract_address = receipt.result
-        self._windows = (st, ct)
+        self.deploy = deploy
         return self.contract_address
 
     def decide_sign(self, sender: bytes, blinded: int, clock: int) -> int:
@@ -118,9 +118,9 @@ class Organizer:
         A blinded value outside [1, n) is refused, and so is a signature
         that fails its own check; neither costs budget.
         """
-        if self._windows is None:
+        if self.deploy is None:
             raise RuntimeError("setup() has not run")
-        st, ct = self._windows
+        st, ct = self.deploy.st, self.deploy.ct
         if not st <= clock < ct:
             raise OutOfWindow(f"sign request at clock {clock}, window [{st}, {ct})")
         if not (0 < blinded < self.key.n and self.permissions.chance(sender) > 0):

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from .errors import NonUnit, RefusalSentinel
 from .rng import as_rng
 
-HASH_LEN = 32
 UUID_LEN = 16
 
 #: Signer's answer when it declines to sign.

@@ -48,35 +48,12 @@ from .rng import as_rng
 _NONCE_LEN = 12
 
 
-@dataclass(frozen=True)
-class ElectionParams:
-    """Immutable contract configuration fixed at deployment."""
-
-    pk: PublicKey
-    st: int
-    ct: int
-    et: int
-    sealing_pk: PublicKey | None = None
-
-    def __post_init__(self):
-        if not self.st < self.ct < self.et:
-            raise BadWindow(
-                f"need st < ct < et, got st={self.st} ct={self.ct} et={self.et}"
-            )
-        if self.pk.n < 2 or (self.sealed and self.sealing_pk.n < 2):
-            raise ValueError("a modulus must be at least 2")
-
-    @property
-    def sealed(self) -> bool:
-        """Sealed mode is deploying a sealing key."""
-        return self.sealing_pk is not None
-
-
 @dataclass
 class ElectionContract:
-    """Deterministic contract instance addressed by the ledger."""
+    """Deterministic contract instance addressed by the ledger; its
+    parameters are the deploy payload, checked when the ledger applies it."""
 
-    params: ElectionParams
+    params: messages.Deploy
     ballot_box: dict[bytes, bytes] = field(default_factory=dict)
     published_key: KeyPair | None = None
     # uuid -> KEM secret x that another count of this box recorded, handed in
@@ -88,6 +65,13 @@ class ElectionContract:
     _opened: dict[bytes, tuple[bytes, int] | None] = field(
         default_factory=dict, compare=False, repr=False
     )
+
+    def __post_init__(self):
+        p = self.params
+        if not p.st < p.ct < p.et:
+            raise BadWindow(f"need st < ct < et, got st={p.st} ct={p.ct} et={p.et}")
+        if p.n < 2 or (p.sealed and p.sealing_n < 2):
+            raise ValueError("a modulus must be at least 2")
 
     # -- call dispatch (used by the ledger) -----------------------------------
 
@@ -112,17 +96,17 @@ class ElectionContract:
         p = self.params
         if not p.st <= clock < p.ct:
             raise OutOfWindow(f"check at clock {clock}, window [{p.st}, {p.ct})")
-        n = p.pk.n
+        n = p.n
         if not (0 < signed_blinded < n and 0 < blinded < n):
             return False
-        return pow(signed_blinded, p.pk.e, n) == blinded
+        return pow(signed_blinded, p.e, n) == blinded
 
     def cast(self, signed: int, ballot: bytes, uuid: bytes, clock: int) -> bool:
         """Judge a ballot; accepted entries go into the box keyed by uuid."""
         p = self.params
         if not p.ct <= clock < p.et:
             raise OutOfWindow(f"cast at clock {clock}, window [{p.ct}, {p.et})")
-        if len(uuid) != 16 or uuid in self.ballot_box or not 0 < signed < p.pk.n:
+        if len(uuid) != 16 or uuid in self.ballot_box or not 0 < signed < p.n:
             return False
         if not verify(signed, ballot_digest(ballot, uuid), p.pk):
             return False
@@ -145,11 +129,11 @@ class ElectionContract:
             raise ElectionOpen(f"publish at clock {clock}, vote ends at {p.et}")
         if self.published_key is not None:
             raise KeyMismatch("sealing key already published")
-        spk = p.sealing_pk
-        if n != spk.n or (n % 2 == 0 and modexp(pow(2, spk.e, n), d, n) != 2):
+        e = p.sealing_e
+        if n != p.sealing_n or (n % 2 == 0 and modexp(pow(2, e, n), d, n) != 2):
             raise KeyMismatch("private exponent does not invert the sealing key")
         try:
-            self.published_key = KeyPair(n, spk.e, d, *factor_modulus(n, spk.e, d))
+            self.published_key = KeyPair(n, e, d, *factor_modulus(n, e, d))
         except ValueError:
             raise KeyMismatch("private exponent does not invert the sealing key") from None
 

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import messages
-from .blindsig import PublicKey
-from .contract import ElectionContract, ElectionParams
+from .contract import ElectionContract
 from .errors import AuthFailure, ClockViolation, ParseError, Redeploy, ReplayDivergence
 from .rng import as_rng
 
@@ -167,12 +166,8 @@ class Ledger:
         address = derive_contract_address(tx.sender, tx.index)
         if address in self._contracts:
             raise Redeploy(f"contract address {address.hex()} already taken")
-        sealing_pk = PublicKey(payload.sealing_n, payload.sealing_e) if payload.sealed else None
-        params = ElectionParams(
-            PublicKey(payload.n, payload.e), payload.st, payload.ct, payload.et, sealing_pk
-        )
         recorded = self._secrets.get(address, {})
-        self._contracts[address] = ElectionContract(params, recorded=recorded)
+        self._contracts[address] = ElectionContract(payload, recorded=recorded)
         return address
 
     # -- transcript export / import -------------------------------------------

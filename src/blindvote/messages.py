@@ -12,8 +12,9 @@ a line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .blindsig import hex_to_int, int_to_hex
+from .blindsig import PublicKey, hex_to_int, int_to_hex
 from .errors import ParseError
 
 
@@ -75,6 +76,11 @@ class Deploy:
         present = (self.sealing_n is not None, self.sealing_e is not None)
         if present != (self.sealed, self.sealed):
             raise ValueError("sealing fields must be present exactly when sealed")
+
+    @cached_property
+    def pk(self) -> PublicKey:
+        """The election signing key, built once: each cast verifies under it."""
+        return PublicKey(self.n, self.e)
 
 
 @dataclass(frozen=True)

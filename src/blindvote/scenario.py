@@ -676,11 +676,14 @@ def recount(ledger: Ledger) -> Counter:
 
     Ignores phase windows: anyone holding the transcript counts the box.
     Raises ResultSealed when the election is sealed and the key was never
-    published on-ledger.
+    published on-ledger, and ParseError naming the second deploy (or index
+    0 when there is none) unless the ledger holds exactly one contract.
     """
     contracts = ledger.contracts
     if len(contracts) != 1:
-        raise ParseError(f"expected exactly one contract, found {len(contracts)}")
+        creates = [tx.index for tx in ledger.log if tx.recipient is None]
+        index = creates[1] if len(creates) > 1 else 0
+        raise ParseError(f"expected exactly one contract, found {len(contracts)}", index=index)
     (contract,) = contracts.values()
     return contract.count()
 
@@ -720,7 +723,7 @@ def verify_transcript(
     except ResultSealed:
         pass
     except (ParseError, ValueError) as exc:
-        return TranscriptCheck(False, f"recount: {exc}")
+        return TranscriptCheck(False, f"recount: {exc}", index=getattr(exc, "index", None))
     if report_path is not None:
         doc = json.loads(Path(report_path).read_text())
         if not isinstance(doc, dict):

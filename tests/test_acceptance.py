@@ -28,9 +28,10 @@ from blindvote.blindsig import (
     unblind,
     verify,
 )
-from blindvote.contract import ElectionContract, ElectionParams
+from blindvote.contract import ElectionContract
 from blindvote.errors import ElectionOpen, OutOfWindow, ResultSealed
 from blindvote.ledger import export_log, import_log, replay
+from blindvote.messages import Deploy
 from blindvote.scenario import (
     Election,
     ScenarioConfig,
@@ -257,7 +258,7 @@ def test_c10_window_discipline_boundary_matrix():
     from blindvote.ledger import Ledger, create_account
 
     st_, ct, et = 10, 20, 30
-    contract = ElectionContract(ElectionParams(pk=PUB, st=st_, ct=ct, et=et))
+    contract = ElectionContract(Deploy(n=PUB.n, e=PUB.e, st=st_, ct=ct, et=et))
     digest = ballot_digest(b"A", bytes(16))
     signed = sign_blinded(fdh(digest, TOY.n), TOY)
 

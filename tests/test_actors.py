@@ -207,7 +207,7 @@ class TestSignStage:
         cheat = CheatingOrganizer(key=TOY, account=organizer.account)
         cheat.permissions = organizer.permissions
         cheat.contract_address = organizer.contract_address
-        cheat._windows = organizer._windows
+        cheat.deploy = organizer.deploy
         state = voter_prepare(b"A", 5, TOY.public, alice)
         with pytest.raises(CheckFailed):
             voter_obtain_signature(state, ledger, addr, cheat)

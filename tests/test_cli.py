@@ -268,6 +268,61 @@ class TestDivergentTranscripts:
             assert main([verb, str(transcript)]) == 1
             assert capsys.readouterr().out.startswith("DIVERGENCE at index 18:")
 
+    def test_deploy_with_equal_st_and_et_named(self, transcript, capsys):
+        # the contract checks the windows of the deploy that creates it, when
+        # the deploy is applied; et is 30 (hex 1e) in the adversarial config
+        assert self._edit_first(transcript, "deploy", 2, lambda st: "1e") == 0
+        assert main(["verify", str(transcript)]) == 1
+        assert capsys.readouterr().out == (
+            "DIVERGENCE at index 0: execution failed at index 0: "
+            "need st < ct < et, got st=30 ct=20 et=30\n"
+        )
+
+    def test_create_with_a_tally_payload_named(self, transcript, capsys):
+        lines = transcript.read_text().splitlines(keepends=True)
+        lines[0] = " ".join(lines[0].split(" ")[:4] + ["tally"]) + "\n"
+        transcript.write_text("".join(lines))
+        assert main(["verify", str(transcript)]) == 1
+        assert capsys.readouterr().out == (
+            "DIVERGENCE at index 0: execution failed at index 0: "
+            "contract creation requires a deploy payload\n"
+        )
+
+    def test_sign_request_to_the_contract_named(self, transcript, capsys):
+        rows = [line.split(" ") for line in transcript.read_text().splitlines(keepends=True)]
+        contract = next(row[3] for row in rows if row[4] == "cast")
+        index = next(i for i, row in enumerate(rows) if row[4] == "sign_request")
+        rows[index][3] = contract
+        transcript.write_text("".join(" ".join(row) for row in rows))
+        assert main(["verify", str(transcript)]) == 1
+        assert capsys.readouterr().out.startswith(
+            f"DIVERGENCE at index {index}: execution failed at index {index}: "
+            "contract cannot execute payload SignRequest("
+        )
+
+    def test_empty_transcript_named(self, tmp_path, capsys):
+        empty = tmp_path / "empty.log"
+        empty.write_text("")
+        assert main(["verify", str(empty)]) == 1
+        assert capsys.readouterr().out == (
+            "DIVERGENCE at index 0: recount: expected exactly one contract, found 0\n"
+        )
+
+    def test_second_deploy_named(self, tmp_path, capsys):
+        out = tmp_path / "honest"
+        assert main(["run", str(ROOT / "configs" / "honest-10.json"), "--out", str(out)]) == 0
+        capsys.readouterr()
+        transcript = out / "transcript.log"
+        lines = transcript.read_text().splitlines(keepends=True)
+        lines.insert(1, lines[0])
+        transcript.write_text(
+            "".join(f"{i} {line.split(' ', 1)[1]}" for i, line in enumerate(lines))
+        )
+        assert main(["verify", str(transcript)]) == 1
+        assert capsys.readouterr().out == (
+            "DIVERGENCE at index 1: recount: expected exactly one contract, found 2\n"
+        )
+
     @pytest.mark.parametrize(
         "config, edit",
         [

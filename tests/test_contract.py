@@ -12,7 +12,6 @@ from blindvote import blindsig, contract
 from blindvote.blindsig import (
     TOY_KEYPAIR,
     KeyPair,
-    PublicKey,
     ballot_digest,
     blind,
     factor_modulus,
@@ -25,7 +24,6 @@ from blindvote.blindsig import (
 from blindvote.cli import main
 from blindvote.contract import (
     ElectionContract,
-    ElectionParams,
     hex_tally,
     seal_ballot,
     unseal_ballot,
@@ -38,6 +36,7 @@ from blindvote.errors import (
     OutOfWindow,
     ResultSealed,
 )
+from blindvote.messages import Deploy, encode_payload
 from blindvote.scenario import Election, ScenarioConfig, VoterSpec, verify_transcript
 
 TOY = TOY_KEYPAIR
@@ -46,12 +45,15 @@ SEALING = keypair_from_primes(67, 71, 17)
 
 def make_contract(sealed=False, sealing=SEALING):
     return ElectionContract(
-        ElectionParams(
-            pk=TOY.public,
+        Deploy(
+            n=TOY.n,
+            e=TOY.e,
             st=10,
             ct=20,
             et=30,
-            sealing_pk=sealing.public if sealed else None,
+            sealed=sealed,
+            sealing_n=sealing.n if sealed else None,
+            sealing_e=sealing.e if sealed else None,
         )
     )
 
@@ -69,31 +71,39 @@ def uuid_of(i: int) -> bytes:
 
 class TestParams:
     def test_bad_ordering(self):
-        with pytest.raises(BadWindow):
-            ElectionParams(pk=TOY.public, st=20, ct=10, et=30)
+        with pytest.raises(BadWindow, match="need st < ct < et, got st=20 ct=10 et=30"):
+            ElectionContract(Deploy(n=TOY.n, e=TOY.e, st=20, ct=10, et=30))
 
     def test_equal_boundaries_rejected(self):
         with pytest.raises(BadWindow):
-            ElectionParams(pk=TOY.public, st=10, ct=10, et=30)
+            ElectionContract(Deploy(n=TOY.n, e=TOY.e, st=10, ct=10, et=30))
 
     @pytest.mark.parametrize("sealed", [False, True])
     def test_modulus_below_two_rejected(self, sealed):
-        unit = PublicKey(1, 3)
-        with pytest.raises(ValueError):
-            ElectionParams(
-                pk=TOY.public if sealed else unit,
-                st=1,
-                ct=2,
-                et=3,
-                sealing_pk=unit if sealed else None,
-            )
+        deploy = Deploy(
+            n=TOY.n if sealed else 1,
+            e=TOY.e,
+            st=1,
+            ct=2,
+            et=3,
+            sealed=sealed,
+            sealing_n=1 if sealed else None,
+            sealing_e=3 if sealed else None,
+        )
+        with pytest.raises(ValueError, match="a modulus must be at least 2"):
+            ElectionContract(deploy)
 
     def test_params_immutable(self):
-        params = ElectionParams(pk=TOY.public, st=10, ct=20, et=30)
+        params = make_contract().params
         with pytest.raises(dataclasses.FrozenInstanceError):
             params.st = 11
         with pytest.raises(dataclasses.FrozenInstanceError):
             params.pk = keypair_from_primes(67, 71, 17).public
+        assert params.pk == TOY.public
+        # the cached key is no field: reading it changes no comparison or encoding
+        fresh = make_contract().params
+        assert fresh == params and hash(fresh) == hash(params)
+        assert encode_payload(fresh) == encode_payload(params)
 
 
 class TestCheckSignature:
@@ -313,7 +323,7 @@ def _two_step_publish_accepts(n: int, e: int, d: int) -> bool:
 
 
 def _publish_accepts(n: int, e: int, d: int) -> bool:
-    params = dataclasses.replace(make_contract(sealed=True).params, sealing_pk=PublicKey(n, e))
+    params = dataclasses.replace(make_contract(sealed=True).params, sealing_n=n, sealing_e=e)
     c = ElectionContract(params)
     try:
         c.publish_key(n, d, clock=30)

@@ -16,12 +16,14 @@ from blindvote.scenario import (
     Election,
     ScenarioConfig,
     VoterSpec,
+    evaluate_assertions,
     recount,
     run_scenario,
     verify_transcript,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+WINDOWS = {"st": 1, "ct": 2, "et": 3}
 
 PLAIN_ROWS = {
     "privacy",
@@ -83,6 +85,29 @@ class TestConfig:
     def test_no_voters_is_an_empty_list(self, doc):
         with pytest.raises(ConfigInvalid, match="voters: at least one required"):
             ScenarioConfig.from_dict({"windows": {"st": 1, "ct": 2, "et": 3}, **doc})
+
+    @pytest.mark.parametrize(
+        "doc, problem",
+        [
+            ([], r"^config document must be an object$"),
+            ({"voters": []}, r"^windows: object with st, ct, et required$"),
+            ({"windows": {"st": 1, "ct": 2}}, r"^windows: object with st, ct, et required$"),
+            ({"windows": WINDOWS, "voters": ["alice"]}, r"^voters\[0\]: must be an object$"),
+            (
+                {"windows": WINDOWS, "voters": [{"name": "a", "ballot": "A", "colour": "red"}]},
+                r"^voters\[0\]: .*unexpected keyword argument 'colour'",
+            ),
+            (
+                {"windows": WINDOWS, "voters": [{"ballot": "A"}]},
+                r"^voters\[0\]: .*missing 1 required positional argument: 'name'",
+            ),
+        ],
+        ids=["not-an-object", "no-windows", "window-missing", "voter-not-an-object",
+             "voter-unknown-key", "voter-no-name"],
+    )
+    def test_malformed_document_rejected(self, doc, problem):
+        with pytest.raises(ConfigInvalid, match=problem):
+            ScenarioConfig.from_dict(doc)
 
     def test_dict_round_trip(self, honest_config):
         assert ScenarioConfig.from_dict(honest_config.to_dict()) == honest_config
@@ -347,3 +372,83 @@ class TestTranscripts:
         (tmp_path / "report.json").write_text(json.dumps(report))
         check = verify_transcript(tmp_path / "transcript.log", tmp_path / "report.json")
         assert check.ok == ok and check.tally_hex is None
+
+
+# --- every grader row can fail -----------------------------------------------
+
+
+def _respec(election, **changes):
+    """Rewrite the first voter's config after the run: the grader now sees a
+    budget or a listing the organizer never applied."""
+    voter = election.voters[0]
+    voter.spec = replace(voter.spec, **changes)
+
+
+def _r_is_a_request_value(election):
+    # the blinding factor equal to a value the sign stage put on the ledger
+    state = election.voters[0].states[0]
+    state.r = state.blinded
+
+
+def _tally_readable_before_publication(election, monkeypatch):
+    monkeypatch.setattr(election.contract, "tally", lambda clock: Counter())
+
+
+def _ballot_hex_in_a_message(election, monkeypatch):
+    # a plain message whose one field is the first voter's ballot, ALPHA, in hex
+    request = messages.SignRequest(int.from_bytes(b"ALPHA", "big"))
+    election.ledger.submit(create_account(99), bytes(20), request)
+
+
+#: (row, detail, config changes, tamper before the count stage (election,
+#: monkeypatch), tamper after it (election) returning a replacement
+#: transcript or None)
+GRADER_FAULTS = [
+    ("privacy", "voter-local value surfaced at index", {"key_bits": 64}, None,
+     _r_is_a_request_value),
+    ("robustness", "unlisted but granted a signature", {}, None,
+     lambda e: _respec(e, kind="unlisted")),
+    ("robustness", "granted beyond budget", {}, None,
+     lambda e: _respec(e, chances=0, votes=1)),
+    ("robustness", "a refused request went unnoticed", {}, None,
+     lambda e: setattr(e.voters[0], "refusals", 1)),
+    ("verifiability", "replay failed:", {}, None, lambda e: e.ledger.export()[:-1]),
+    ("verifiability", "replayed contract state diverged", {}, None,
+     lambda e: e.contract.ballot_box.update({bytes(16): b"X"})),
+    ("verifiability", "off-chain recount disagrees with contract", {}, None,
+     lambda e: setattr(e, "offchain_tally", Counter())),
+    ("democracy-eligibility", "lacks an organizer signature", {}, None,
+     lambda e: setattr(e.voters[0].landed[0], "signed_blinded", None)),
+    ("democracy-eligibility", "unlisted adversary got through", {}, None,
+     lambda e: _respec(e, kind="unlisted")),
+    ("democracy-pmv", "accepted casts exceed chances", {}, None,
+     lambda e: _respec(e, chances=0, votes=1)),
+    ("correctness", "tally unavailable", {}, None, lambda e: setattr(e, "onchain_tally", None)),
+    ("fairness", "tally was readable before key publication", {"sealed": True},
+     _tally_readable_before_publication, None),
+    ("fairness", "ballot hex visible in transcript", {"sealed": True},
+     _ballot_hex_in_a_message, None),
+]
+
+
+@pytest.mark.parametrize(
+    "prop, detail, changes, before_count, after_count",
+    GRADER_FAULTS,
+    ids=[f"{prop}: {detail}" for prop, detail, *_ in GRADER_FAULTS],
+)
+def test_row_flags_a_tampered_fact(
+    small_config, monkeypatch, prop, detail, changes, before_count, after_count
+):
+    election = Election(replace(small_config, **changes))
+    election.setup_stage()
+    election.sign_stage()
+    election.vote_stage()
+    if before_count:
+        before_count(election, monkeypatch)
+    election.count_stage()
+    transcript = election.ledger.export()
+    if after_count:
+        transcript = after_count(election) or transcript
+    row = next(row for row in evaluate_assertions(election, transcript) if row.prop == prop)
+    assert row.expected == "holds" and row.observed == "violated"
+    assert detail in row.detail
