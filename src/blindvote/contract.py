@@ -99,7 +99,7 @@ class ElectionContract:
         n = p.n
         if not (0 < signed_blinded < n and 0 < blinded < n):
             return False
-        return pow(signed_blinded, p.e, n) == blinded
+        return modexp(signed_blinded, p.e, n) == blinded
 
     def cast(self, signed: int, ballot: bytes, uuid: bytes, clock: int) -> bool:
         """Judge a ballot; accepted entries go into the box keyed by uuid."""
@@ -130,7 +130,7 @@ class ElectionContract:
         if self.published_key is not None:
             raise KeyMismatch("sealing key already published")
         e = p.sealing_e
-        if n != p.sealing_n or (n % 2 == 0 and modexp(pow(2, e, n), d, n) != 2):
+        if n != p.sealing_n or (n % 2 == 0 and modexp(modexp(2, e, n), d, n) != 2):
             raise KeyMismatch("private exponent does not invert the sealing key")
         try:
             self.published_key = KeyPair(n, e, d, *factor_modulus(n, e, d))
@@ -184,7 +184,7 @@ def seal_ballot(ballot: bytes, sealing_pk: PublicKey, seed) -> bytes:
     rng = as_rng(seed)
     nbytes = (sealing_pk.n.bit_length() + 7) // 8
     x = rng.randrange(1, sealing_pk.n)
-    wrapped = pow(x, sealing_pk.e, sealing_pk.n).to_bytes(nbytes, "big")
+    wrapped = modexp(x, sealing_pk.e, sealing_pk.n).to_bytes(nbytes, "big")
     nonce = rng.randbytes(_NONCE_LEN)
     body = AESGCM(_kem_key(x, nbytes)).encrypt(nonce, ballot, None)
     return wrapped + nonce + body
@@ -237,7 +237,7 @@ def _open_entry(sealed: bytes, key: KeyPair, x: int | None) -> tuple[bytes, int]
     except ValueError:
         wrapped = None  # no secret opens it; unseal_ballot spoils it
     try:
-        if x is not None and 0 < x < key.n and pow(x, key.e, key.n) == wrapped:
+        if x is not None and 0 < x < key.n and modexp(x, key.e, key.n) == wrapped:
             return _open(sealed, x, key.n), x
         return unseal_ballot(sealed, key)
     except ValueError:

@@ -405,30 +405,35 @@ class Election:
         self.offchain_tally = recount(replay(self.ledger.log, secrets=secrets))
 
     def _scan_plaintext(self, transcript: str) -> list[str]:
-        """Plaintext ballot bytes that leak into a sealed transcript.
+        """Plaintext ballot bytes that a voter leaked into a sealed transcript.
 
-        A cast payload leaks a ballot it equals or, for ballots of at least
-        4 bytes (shorter ones turn up in ciphertext by chance), contains;
-        the same 4-byte rule applies to the ballot's hex in the transcript.
+        A voter leaks only through its own transactions: those its eligible
+        account sent (sign requests, checks, a careless cast) and its casts
+        from anonymous accounts; a match is charged to that voter alone. A
+        cast payload leaks a ballot it equals or, for ballots of at least 4
+        bytes (shorter ones turn up in ciphertext by chance), contains; the
+        same 4-byte rule applies to the ballot's hex in the transaction's line.
         """
-        blobs = [
-            tx.payload.ballot
-            for tx in self.ledger.log
-            if isinstance(tx.payload, messages.Cast)
-        ]
-        found = {}
-        for plain in {v.spec.ballot.encode() for v in self.voters}:
-            long = len(plain) >= 4
-            found[plain] = (
-                long and plain.hex() in transcript,
-                any(blob == plain or (long and plain in blob) for blob in blobs),
-            )
+        owner = {}
+        for i, v in enumerate(self.voters):
+            owner[v.account.address] = i
+            owner.update((s.anon_account.address, i) for s in v.states if s.anon_account)
+        own = [[] for _ in self.voters]
+        for tx in self.ledger.log:
+            if tx.sender in owner:
+                own[owner[tx.sender]].append(tx)
+        lines = transcript.splitlines()
         leaks = []
-        for v in self.voters:
-            in_hex, in_payload = found[v.spec.ballot.encode()]
-            if in_hex:
+        for v, txs in zip(self.voters, own):
+            plain = v.spec.ballot.encode()
+            long = len(plain) >= 4
+            if long and any(plain.hex() in lines[tx.index] for tx in txs):
                 leaks.append(f"{v.spec.name}: ballot hex visible in transcript")
-            if in_payload:
+            if any(
+                isinstance(tx.payload, messages.Cast)
+                and (tx.payload.ballot == plain or (long and plain in tx.payload.ballot))
+                for tx in txs
+            ):
                 leaks.append(f"{v.spec.name}: ballot bytes inside a cast payload")
         return leaks
 

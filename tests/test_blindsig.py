@@ -41,7 +41,9 @@ from blindvote.blindsig import (
     unblind,
     verify,
 )
+from blindvote.contract import ElectionContract, _open_entry, seal_ballot, unseal_ballot
 from blindvote.errors import NonUnit, RefusalSentinel
+from blindvote.messages import Deploy
 from blindvote.scenario import TOY_SEALING_KEYPAIR, Election, ScenarioConfig, VoterSpec
 
 TOY = TOY_KEYPAIR
@@ -183,13 +185,22 @@ def _modexp_case(draw, bits):
         st.integers(-4 * mod, 4 * mod)
         | st.sampled_from([0, 1, mod - 1, mod, mod + 1, 3 * mod])
     )
-    exp = draw(st.integers(0, 1 << bits) | st.sampled_from([0, 1, 2]))
+    exp = draw(
+        st.integers(0, 1 << bits)
+        | st.sampled_from([0, 1, 2])
+        # short exponents, as the public ones: 3, 17, 65537, or 17 to 64 bits
+        | st.sampled_from([3, 17, 65537])
+        | st.integers(1 << 16, (1 << 64) - 1)
+    )
     return base, exp, mod
 
 
 class TestModexp:
     @pytest.mark.parametrize("native", [True, False], ids=["openssl", "pow"])
-    @pytest.mark.parametrize("bits", [2, 17, blindsig.NATIVE_BITS - 1, blindsig.NATIVE_BITS, 256, 1024])
+    @pytest.mark.parametrize("bits", [
+        2, 17, blindsig.NATIVE_BITS - 1, blindsig.NATIVE_BITS, 256, 1024,
+        blindsig.SHORT_EXP_BITS - 1, blindsig.SHORT_EXP_BITS, 2048,
+    ])
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_equals_pow(self, native, bits, data):
@@ -223,6 +234,36 @@ class TestModexp:
         assert counting.calls == []
         assert modexp(3, at - 2, at) == pow(3, at - 2, at)
         assert counting.calls.count("BN_mod_exp") == 1
+
+    @pytest.mark.parametrize("bits, native", [(2048, 1), (1024, 1), (512, 0), (None, 0)])
+    def test_each_public_power_is_one_modexp(self, monkeypatch, bits, native):
+        # every public-exponent power (e = 65537, or 17 on the toy key), checks
+        # included, goes through modexp, in OpenSSL from SHORT_EXP_BITS on; the
+        # two CRT halves of signing are private powers, in OpenSSL from 80 bits
+        lib, buffer = _openssl()
+        key = TOY if bits is None else keygen(bits, 0)
+        crt_native = 0 if bits is None else 2
+        digest = ballot_digest(b"ALPHA", bytes(16))
+        sealed = seal_ballot(b"ALPHA", key.public, seed=1)
+        x = unseal_ballot(sealed, key)[1]
+        c = ElectionContract(Deploy(n=key.n, e=key.e, st=10, ct=20, et=30))
+        counting = _Counting(lib)
+        monkeypatch.setattr(blindsig, "_bn", lambda: (counting, buffer))
+
+        def calls(fn, *args):
+            before = counting.calls.count("BN_mod_exp")
+            return fn(*args), counting.calls.count("BN_mod_exp") - before
+
+        blinded, n_blind = calls(blind, digest, 7, key.public)
+        signed_blinded, n_sign = calls(sign_blinded, blinded, key)
+        assert signed_blinded != REFUSED
+        assert (n_blind, n_sign) == (native, crt_native + native)
+        signed = unblind(signed_blinded, 7, key.public)
+        assert calls(c.check_signature, signed_blinded, blinded, 10) == (True, native)
+        assert calls(verify, signed, digest, key.public) == (True, native)
+        assert calls(c.cast, signed, b"ALPHA", bytes(16), 20) == (True, native)
+        assert calls(seal_ballot, b"ALPHA", key.public, 2)[1] == native
+        assert calls(_open_entry, sealed, key, x) == ((b"ALPHA", x), native)
 
     def test_a_failed_call_raises_and_frees(self, monkeypatch):
         lib, buffer = _openssl()

@@ -511,6 +511,32 @@ class TestUnsealAll:
         assert "DIVERGENCE" not in out.out
         assert "BN_mod_exp failed for a 1024-bit modulus" in out.err
 
+    def test_a_failed_native_signature_check_in_verify_is_no_divergence(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a cast's signature check is a public-exponent power, in OpenSSL at
+        # 1024 bits; BN_mod_exp fails from the first one on
+        if blindsig._bn() is None:
+            pytest.skip("libcrypto cannot be loaded here")
+        election = Election(SEALED_1024)
+        election.run()
+        election.build_report().write(tmp_path)
+
+        lib, buffer = blindsig._bn()
+        checked = []
+
+        def failing_from_here(*args):
+            checked.append(args)
+            monkeypatch.setattr(blindsig, "_bn", lambda: (_FailingModExp(lib), buffer))
+            return blindsig.verify(*args)
+
+        monkeypatch.setattr(contract, "verify", failing_from_here)
+        assert main(["verify", str(tmp_path / "transcript.log")]) == 2
+        out = capsys.readouterr()
+        assert len(checked) == 1  # the replay stopped at its first cast
+        assert "DIVERGENCE" not in out.out
+        assert "BN_mod_exp failed for a 1024-bit modulus" in out.err
+
 
 def _recorded_cases(key):
     """(case id, entry, secret, exponent the count publishes, whether the secret

@@ -9,7 +9,8 @@ unsealed, toy keys plus one 128-bit key. Two more cases run shipped configs
 with real keys whose primes exceed 80 bits, so key generation draws its
 random Miller-Rabin bases: configs/sealed.json at 512 bits (both keys) and
 configs/adversarial.json at 256 bits. Those two also run with
-``blindsig.modexp`` on ``pow`` alone, as where libcrypto cannot be loaded.
+``blindsig.modexp`` on ``pow`` alone, as where libcrypto cannot be loaded,
+and so does configs/sealed.json at 1024 bits, checked against itself.
 """
 
 import hashlib
@@ -134,3 +135,13 @@ def test_real_keys_byte_identical_without_openssl(name, tmp_path, monkeypatch):
     monkeypatch.setattr(blindsig, "_bn", lambda: None)
     _, attack, config = next(case for case in CASES if case[0] == name)
     assert artifact_hashes(attack, config, tmp_path) == GOLDEN[name]
+
+
+def test_sealed_1024_byte_identical_without_openssl(tmp_path, monkeypatch):
+    # at 1024 bits the public-exponent powers (blind, the checks, the KEM wrap
+    # and the recorded-secret check) run in OpenSSL too, unlike at 512
+    assert blindsig.SHORT_EXP_BITS <= 1024
+    config = replace(ScenarioConfig.from_json_file(CONFIGS / "sealed.json"), key_bits=1024)
+    native = artifact_hashes(None, config, tmp_path / "openssl")
+    monkeypatch.setattr(blindsig, "_bn", lambda: None)
+    assert artifact_hashes(None, config, tmp_path / "pow") == native

@@ -235,9 +235,27 @@ class TestSealedRun:
         election.sign_stage()
         election.vote_stage()
         cast = messages.Cast(signed=1, ballot=b"A", uuid=bytes(16))
-        election.ledger.submit(create_account(99), election.contract_address, cast)
+        election.ledger.submit(election.voters[0].account, election.contract_address, cast)
         election.count_stage()
         assert election.fairness_problems == ["a: ballot bytes inside a cast payload"]
+
+    def test_an_outsiders_plaintext_is_no_voters_leak(self, small_config):
+        # an account that is no voter's posts ALPHA in hex and in a cast; alice
+        # and carol chose ALPHA, but neither leaked it
+        election = Election(replace(small_config, sealed=True))
+        election.setup_stage()
+        election.sign_stage()
+        election.vote_stage()
+        outsider = create_account(99)
+        request = messages.SignRequest(int.from_bytes(b"ALPHA", "big"))
+        election.ledger.submit(outsider, bytes(20), request)
+        cast = messages.Cast(signed=1, ballot=b"ALPHA", uuid=bytes(16))
+        election.ledger.submit(outsider, election.contract_address, cast)
+        election.count_stage()
+        assert election.fairness_problems == []
+        report = election.build_report()
+        fairness = next(row for row in report.assertions if row.prop == "fairness")
+        assert fairness.observed == "holds"
 
     def test_ballot_that_does_not_unseal_is_spoiled(self, tmp_path, small_config):
         # the organizer signs blind, so a listed voter can get a payload that
@@ -395,9 +413,10 @@ def _tally_readable_before_publication(election, monkeypatch):
 
 
 def _ballot_hex_in_a_message(election, monkeypatch):
-    # a plain message whose one field is the first voter's ballot, ALPHA, in hex
+    # a plain message from the first voter's eligible account whose one field
+    # is that voter's ballot, ALPHA, in hex
     request = messages.SignRequest(int.from_bytes(b"ALPHA", "big"))
-    election.ledger.submit(create_account(99), bytes(20), request)
+    election.ledger.submit(election.voters[0].account, bytes(20), request)
 
 
 #: (row, detail, config changes, tamper before the count stage (election,
