@@ -27,8 +27,6 @@ from .actors import (
 )
 from .blindsig import (
     TOY_KEYPAIR,
-    ballot_digest,
-    fdh,
     int_to_hex,
     keygen,
     keypair_from_primes,
@@ -99,13 +97,15 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         problems = []
-        for name in (*WINDOWS, "seed"):
+        for name in WINDOWS:
             if not _is_int(getattr(self, name)):
                 problems.append(f"{name}: must be an integer")
         if not problems and not 0 <= self.st < self.ct < self.et:
             problems.append(
                 f"windows: need 0 <= st < ct < et, got {self.st}/{self.ct}/{self.et}"
             )
+        if not _is_int(self.seed) or self.seed < 0:
+            problems.append("seed: must be an integer >= 0")
         if not isinstance(self.sealed, bool):
             problems.append("sealed: must be true or false")
         if not self.voters:
@@ -521,10 +521,6 @@ def _flip(verdict: str) -> str:
 def _privacy_row(election: Election) -> AssertionRow:
     eligible = {v.account.address for v in election.voters}
     eligible.add(election.organizer.address)
-    problems = []
-    for tx in election.ledger.log:
-        if isinstance(tx.payload, messages.Cast) and tx.sender in eligible:
-            problems.append(f"cast at index {tx.index} linkable to a known address")
     # exact-match scan of the sign-stage transcript for voter-local values;
     # at the toy modulus 3-hex-char values collide by chance, so blinding
     # factors only count as leaks at real key sizes
@@ -534,52 +530,22 @@ def _privacy_row(election: Election) -> AssertionRow:
             secret_hex.add(state.uuid.hex())
             if election.key.n.bit_length() >= 64:
                 secret_hex.add(int_to_hex(state.r))
+    linkable, surfaced, first = [], [], None
     for tx in election.ledger.log:
-        if isinstance(tx.payload, (messages.SignRequest, messages.SignResponse, messages.Check)):
-            fields = messages.encode_payload(tx.payload)[1:]
-            if not secret_hex.isdisjoint(fields):
-                problems.append(f"voter-local value surfaced at index {tx.index}")
-    if election.key.n == TOY_KEYPAIR.n and not problems:
-        if not _toy_unlinkability(election):
-            problems.append("blinding enumeration found an unbalanced transcript")
+        if isinstance(tx.payload, messages.Cast):
+            if tx.sender in eligible:
+                linkable.append(f"cast at index {tx.index} linkable to a known address")
+        elif isinstance(tx.payload, (messages.SignRequest, messages.SignResponse, messages.Check)):
+            if first is None and isinstance(tx.payload, messages.SignRequest):
+                first = tx
+            if not secret_hex.isdisjoint(messages.encode_payload(tx.payload)[1:]):
+                surfaced.append(f"voter-local value surfaced at index {tx.index}")
+    problems = linkable + surfaced
+    # r -> r^e permutes the units mod n, so a unit blinded value is explained
+    # by exactly one r for every digest and a non-unit by none
+    if first is not None and math.gcd(first.payload.blinded, election.key.n) != 1:
+        problems.append(f"sign request at index {first.index} is not a unit mod n")
     return _row("privacy", not problems, "; ".join(problems))
-
-
-def _toy_unlinkability(election: Election) -> bool:
-    """Enumeration form of blindness at the toy modulus.
-
-    For an observed blinded value B and any candidate digest with a unit
-    hash, exactly one unit r explains B, so the sign-stage transcript
-    carries no information about the digest.
-    """
-    n, e = election.key.n, election.key.e
-    observed = [
-        tx.payload.blinded
-        for tx in election.ledger.log
-        if isinstance(tx.payload, messages.SignRequest)
-    ]
-    if not observed:
-        return True
-    blinded = observed[0]
-    candidates = []
-    for v in election.voters:
-        for state in v.states:
-            candidates.append(state.ballot)
-            if len(candidates) >= 3:
-                break
-        if len(candidates) >= 3:
-            break
-    units = [r for r in range(1, n) if math.gcd(r, n) == 1]
-    for i, payload in enumerate(candidates):
-        digest = ballot_digest(payload, i.to_bytes(16, "big"))
-        m = fdh(digest, n)
-        if math.gcd(m, n) != 1:
-            continue
-        target = blinded * pow(m, -1, n) % n
-        matches = sum(1 for r in units if pow(r, e, n) == target)
-        if matches != 1:
-            return False
-    return True
 
 
 def _receipt_row(election: Election) -> AssertionRow | None:

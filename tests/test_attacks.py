@@ -9,7 +9,8 @@ import pytest
 
 from blindvote import scenario
 from blindvote.attacks import ATTACKS, forge_signature, run_attack
-from blindvote.errors import UnknownAttack
+from blindvote.errors import ConfigInvalid, UnknownAttack
+from blindvote.scenario import VoterSpec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -39,6 +40,13 @@ def test_contained_attacks_fail(name, small_config):
     assert report.attack.succeeded is False
     assert report.attack.expected_success is False
     assert report.all_ok(), [r for r in report.assertions if not r.ok]
+
+
+@pytest.mark.parametrize("name", ["double-vote", "replay-cast"])
+def test_recast_attacks_need_a_landed_honest_cast(name, small_config):
+    cfg = replace(small_config, voters=[VoterSpec("dave", "ALPHA", kind="careless")])
+    with pytest.raises(ConfigInvalid, match="needs at least one honest voter whose cast lands"):
+        run_attack(name, cfg)
 
 
 def test_forge_signature_fails(small_config):

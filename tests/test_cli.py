@@ -108,6 +108,15 @@ class TestAttack:
         assert main(["attack", "receipt-prove", config_path]) == 0
         assert "SUCCEEDED as expected" in capsys.readouterr().out
 
+    def test_attack_without_an_honest_voter_exits_two(self, tmp_path, small_config, capsys):
+        doc = small_config.to_dict()
+        doc["voters"] = [{"name": "dave", "ballot": "ALPHA", "kind": "careless"}]
+        path = tmp_path / "careless-only.json"
+        path.write_text(json.dumps(doc))
+        assert main(["attack", "double-vote", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "attack needs at least one honest voter whose cast lands" in err
+
     def test_unknown_attack_rejected_by_parser(self, config_path):
         with pytest.raises(SystemExit) as exc:
             main(["attack", "rubber-hose", config_path])

@@ -53,6 +53,18 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match="duplicate"):
             cfg.validate()
 
+    @pytest.mark.parametrize("seed", [-1, -7])
+    def test_negative_seed_invalid(self, seed):
+        # random.Random(-7) draws the same stream as Random(7)
+        cfg = ScenarioConfig(st=1, ct=2, et=3, voters=[VoterSpec("a", "A")], seed=seed)
+        with pytest.raises(ConfigInvalid, match=r"^seed: must be an integer >= 0$"):
+            cfg.validate()
+
+    def test_bad_seed_does_not_hide_bad_windows(self):
+        cfg = ScenarioConfig(st=20, ct=10, et=5, voters=[VoterSpec("a", "A")], seed=True)
+        with pytest.raises(ConfigInvalid, match=r"^windows: .*; seed: must be"):
+            cfg.validate()
+
     def test_unknown_kind_invalid(self):
         cfg = ScenarioConfig(st=1, ct=2, et=3, voters=[VoterSpec("a", "A", kind="evil")])
         with pytest.raises(ConfigInvalid, match="kind"):
@@ -204,6 +216,47 @@ class TestAdversarialKinds:
         report = run_scenario(cfg)
         assert report.all_ok()
         assert report.tally_hex[b"GAMMA".hex()] == 2
+
+
+class TestPrivacyRow:
+    def _privacy(self, report):
+        return next(row for row in report.assertions if row.prop == "privacy")
+
+    def test_nonunit_first_request_is_violated(self):
+        # the first sign request (index 1) and the fdh of all three ballots
+        # with uuids 0, 1 and 2 share a factor with n = 3233
+        voters = [VoterSpec(f"v{i}", ballot) for i, ballot in enumerate(["C121", "C73", "C16"])]
+        cfg = ScenarioConfig(st=10, ct=20, et=30, voters=voters, seed=60)
+        row = self._privacy(run_scenario(cfg))
+        assert row.observed == "violated"
+        assert row.detail == "sign request at index 1 is not a unit mod n"
+
+    def test_honest_10_seed_10_names_the_request(self):
+        cfg = replace(ScenarioConfig.from_json_file(CONFIGS / "honest-10.json"), seed=10)
+        row = self._privacy(run_scenario(cfg))
+        assert row.observed == "violated"
+        assert row.detail == "sign request at index 1 is not a unit mod n"
+
+    def test_detail_lists_linkable_casts_before_surfaced_values(self, small_config):
+        cfg = replace(
+            small_config,
+            voters=small_config.voters + [VoterSpec("dave", "ALPHA", kind="careless")],
+            key_bits=64,
+        )
+        election = Election(cfg)
+        election.setup_stage()
+        election.sign_stage()
+        election.vote_stage()
+        election.count_stage()
+        _r_is_a_request_value(election)
+        transcript = election.ledger.export()
+        row = next(r for r in evaluate_assertions(election, transcript) if r.prop == "privacy")
+        assert row.detail == (
+            "cast at index 16 linkable to a known address; "
+            "voter-local value surfaced at index 1; "
+            "voter-local value surfaced at index 2; "
+            "voter-local value surfaced at index 3"
+        )
 
 
 class TestSealedRun:
