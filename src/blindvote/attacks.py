@@ -10,6 +10,7 @@ so it cannot silently disappear behind an undocumented protocol change.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import wraps
 from pathlib import Path
 
 from . import messages
@@ -19,6 +20,25 @@ from .ledger import create_account
 from .scenario import AttackOutcome, Election, RunReport, ScenarioConfig, VoterSpec
 
 FORGERY_TRIALS = 1000
+
+# name -> attack(config) -> (election, outcome), in registration order
+ATTACKS = {}
+
+
+def _attack(name: str, prop: str, expected_success: bool = False):
+    """Register an attack returning (election, succeeded, detail); the grader
+    reads any cast it slipped into the ballot box from the box itself."""
+
+    def register(fn):
+        @wraps(fn)
+        def attack(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
+            election, succeeded, detail = fn(config)
+            return election, AttackOutcome(name, prop, succeeded, expected_success, detail)
+
+        ATTACKS[name] = attack
+        return attack
+
+    return register
 
 
 def _first_landed(election: Election):
@@ -37,41 +57,25 @@ def _voted(config: ScenarioConfig) -> Election:
     return e
 
 
-def _recast(
-    config: ScenarioConfig, name: str, what: str, rejected: str
-) -> tuple[Election, AttackOutcome]:
+def _recast(config: ScenarioConfig, what: str, rejected: str) -> tuple[Election, bool, str]:
     """Cast the first landed (signed, ballot, uuid) again from a fresh account."""
     e = _voted(config)
     state = _first_landed(e)
     payload = messages.Cast(signed=state.signed, ballot=state.ballot, uuid=state.uuid)
     accepted = bool(e.ledger.submit(create_account(e.rng), e.contract_address, payload).result)
-    e.adversary_cast_results.append(accepted)
     e.count_stage()
-    return e, AttackOutcome(
-        name=name,
-        property_exercised="democracy-pmv",
-        succeeded=accepted,
-        expected_success=False,
-        detail=f"{what} " + ("was accepted" if accepted else rejected),
-    )
+    return e, accepted, f"{what} " + ("was accepted" if accepted else rejected)
 
 
-def double_vote(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
+@_attack("double-vote", "democracy-pmv")
+def double_vote(config: ScenarioConfig):
     """Recast an already-counted ballot from a fresh anonymous account."""
-    return _recast(
-        config,
-        "double-vote",
-        "second cast of the same signed ballot",
-        "was rejected by the uuid guard",
-    )
+    what = "second cast of the same signed ballot"
+    return _recast(config, what, "was rejected by the uuid guard")
 
 
-def replay_cast(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
-    """Eavesdropper resubmits an accepted cast transaction verbatim."""
-    return _recast(config, "replay-cast", "replayed triple", "was rejected")
-
-
-def ineligible(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
+@_attack("ineligible", "democracy-eligibility")
+def ineligible(config: ScenarioConfig):
     """Unlisted address asks for a signature and then casts a guess."""
     if not any(v.kind == "unlisted" for v in config.voters):
         config = replace(
@@ -81,19 +85,14 @@ def ineligible(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
         )
     e = Election(config)
     e.run()
-    intruders = [v for v in e.voters if not v.listed]
-    got_signature = any(v.granted > 0 for v in intruders)
-    got_cast = any(e.adversary_cast_results)
-    return e, AttackOutcome(
-        name="ineligible",
-        property_exercised="democracy-eligibility",
-        succeeded=got_signature or got_cast,
-        expected_success=False,
-        detail=f"signature granted: {got_signature}, forged cast accepted: {got_cast}",
-    )
+    got_signature = any(v.granted > 0 for v in e.voters if not v.listed)
+    got_cast = e.injected_casts > 0
+    detail = f"signature granted: {got_signature}, forged cast accepted: {got_cast}"
+    return e, got_signature or got_cast, detail
 
 
-def forge_signature(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
+@_attack("forge-signature", "democracy-eligibility")
+def forge_signature(config: ScenarioConfig):
     """Cast with random signature values instead of an organizer signature."""
     e = _voted(config)
     n = e.key.n
@@ -108,7 +107,6 @@ def forge_signature(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
         )
         if receipt.result:
             accepted += 1
-        e.adversary_cast_results.append(bool(receipt.result))
     detail = f"{accepted}/{FORGERY_TRIALS} random signatures accepted"
     if n.bit_length() <= 16:
         # small enough to prove the stronger statement outright
@@ -116,30 +114,27 @@ def forge_signature(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
         valid = sum(1 for s in range(n) if pow(s, e.key.e, n) == m)
         detail += f"; exhaustive: {valid} valid signature(s) exist in [0, n)"
     e.count_stage()
-    return e, AttackOutcome(
-        name="forge-signature",
-        property_exercised="democracy-eligibility",
-        succeeded=accepted > 0,
-        expected_success=False,
-        detail=detail,
-    )
+    return e, accepted > 0, detail
 
 
-def receipt_prove(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
+@_attack("replay-cast", "democracy-pmv")
+def replay_cast(config: ScenarioConfig):
+    """Eavesdropper resubmits an accepted cast transaction verbatim."""
+    return _recast(config, "replayed triple", "was rejected")
+
+
+@_attack("receipt-prove", "receipt-freeness", expected_success=True)
+def receipt_prove(config: ScenarioConfig):
     """Voters hand (ballot, uuid, r, response index) to a third party."""
     e = Election(config)
     e.run()
     proven, total = e.receipts
-    return e, AttackOutcome(
-        name="receipt-prove",
-        property_exercised="receipt-freeness",
-        succeeded=total > 0 and proven == total,
-        expected_success=True,
-        detail=f"{proven}/{total} vote receipts verified by a third party",
-    )
+    detail = f"{proven}/{total} vote receipts verified by a third party"
+    return e, total > 0 and proven == total, detail
 
 
-def early_tally(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
+@_attack("early-tally", "fairness")
+def early_tally(config: ScenarioConfig):
     """Read the tally one tick before the vote window closes."""
     e = _voted(config)
     e.ledger.advance_clock(config.et - 1)
@@ -150,40 +145,19 @@ def early_tally(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
     except ElectionOpen:
         succeeded = False
     e.count_stage()
-    return e, AttackOutcome(
-        name="early-tally",
-        property_exercised="fairness",
-        succeeded=succeeded,
-        expected_success=False,
-        detail="tally call at et-1 "
-        + ("returned a result" if succeeded else "was rejected"),
-    )
+    verdict = "returned a result" if succeeded else "was rejected"
+    return e, succeeded, f"tally call at et-1 {verdict}"
 
 
-def sealed_peek(config: ScenarioConfig) -> tuple[Election, AttackOutcome]:
+@_attack("sealed-peek", "fairness")
+def sealed_peek(config: ScenarioConfig):
     """Look for partial results in a sealed election before publication."""
     if not config.sealed:
         config = replace(config, sealed=True)
     e = Election(config)
     e.run()  # count_stage probes the pre-publication tally and scans for leaks
-    return e, AttackOutcome(
-        name="sealed-peek",
-        property_exercised="fairness",
-        succeeded=bool(e.fairness_problems),
-        expected_success=False,
-        detail="; ".join(e.fairness_problems) or "only ciphertexts visible before publication",
-    )
-
-
-ATTACKS = {
-    "double-vote": double_vote,
-    "ineligible": ineligible,
-    "forge-signature": forge_signature,
-    "replay-cast": replay_cast,
-    "receipt-prove": receipt_prove,
-    "early-tally": early_tally,
-    "sealed-peek": sealed_peek,
-}
+    detail = "; ".join(e.fairness_problems) or "only ciphertexts visible before publication"
+    return e, bool(e.fairness_problems), detail
 
 
 def run_attack(

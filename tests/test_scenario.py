@@ -9,6 +9,7 @@ import pytest
 
 from blindvote import contract, messages
 from blindvote.actors import voter_cast, voter_obtain_signature, voter_prepare
+from blindvote.blindsig import ballot_digest, fdh
 from blindvote.errors import ConfigInvalid, ResultSealed
 from blindvote.ledger import Ledger, create_account, import_log, replay
 from blindvote.scenario import (
@@ -472,6 +473,18 @@ def _ballot_hex_in_a_message(election, monkeypatch):
     election.ledger.submit(election.voters[0].account, bytes(20), request)
 
 
+def _stuffed_cast(election, monkeypatch):
+    # a cast that no voter made, carrying the one valid signature a search of
+    # [1, n) finds at n = 3233, sent straight to the ledger from a fresh account
+    ballot, uuid = b"STUFFED", bytes(range(16))
+    key = election.key
+    m = fdh(ballot_digest(ballot, uuid), key.n)
+    signed = next(s for s in range(1, key.n) if pow(s, key.e, key.n) == m)
+    cast = messages.Cast(signed, ballot, uuid)
+    receipt = election.ledger.submit(create_account(election.rng), election.contract_address, cast)
+    assert receipt.result
+
+
 #: (row, detail, config changes, tamper before the count stage (election,
 #: monkeypatch), tamper after it (election) returning a replacement
 #: transcript or None)
@@ -484,6 +497,7 @@ GRADER_FAULTS = [
      lambda e: _respec(e, chances=0, votes=1)),
     ("robustness", "a refused request went unnoticed", {}, None,
      lambda e: setattr(e.voters[0], "refusals", 1)),
+    ("robustness", "an unsigned adversarial cast was accepted", {}, _stuffed_cast, None),
     ("verifiability", "replay failed:", {}, None, lambda e: e.ledger.export()[:-1]),
     ("verifiability", "replayed contract state diverged", {}, None,
      lambda e: e.contract.ballot_box.update({bytes(16): b"X"})),
@@ -493,6 +507,7 @@ GRADER_FAULTS = [
      lambda e: setattr(e.voters[0].landed[0], "signed_blinded", None)),
     ("democracy-eligibility", "unlisted adversary got through", {}, None,
      lambda e: _respec(e, kind="unlisted")),
+    ("democracy-eligibility", "forged cast accepted", {}, _stuffed_cast, None),
     ("democracy-pmv", "accepted casts exceed chances", {}, None,
      lambda e: _respec(e, chances=0, votes=1)),
     ("correctness", "tally unavailable", {}, None, lambda e: setattr(e, "onchain_tally", None)),
