@@ -29,7 +29,7 @@ from .blindsig import (
     sign_blinded,
     unblind,
 )
-from .contract import ElectionContract, seal_ballot
+from .contract import seal_ballot
 from .errors import (
     CheckFailed,
     DuplicateAddress,
@@ -76,7 +76,6 @@ class Organizer:
         self.account = account
         self.sealing_key = sealing_key
         self.permissions: PermissionList | None = None
-        self.contract_address: bytes | None = None
         self.issued = 0  # non-zero signatures handed out
         self._cursor = 0  # first log index not yet scanned for requests
         self.deploy: messages.Deploy | None = None  # the payload setup submitted
@@ -92,7 +91,7 @@ class Organizer:
         st: int,
         ct: int,
         et: int,
-    ) -> bytes:
+    ) -> None:
         """Deploy the contract and freeze the permission list; the election
         is sealed when the organizer holds a sealing key."""
         self.permissions = PermissionList(voters)
@@ -107,10 +106,8 @@ class Organizer:
             sealing_n=sealing.n if sealing else None,
             sealing_e=sealing.e if sealing else None,
         )
-        receipt = ledger.submit(self.account, None, deploy)
-        self.contract_address = receipt.result
+        ledger.submit(self.account, None, deploy)
         self.deploy = deploy
-        return self.contract_address
 
     def decide_sign(self, sender: bytes, blinded: int, clock: int) -> int:
         """Sign-or-refuse: listed sender with budget gets blinded^d, else 0.
@@ -151,7 +148,7 @@ class Organizer:
         """Reveal the sealing private key on-ledger (sealed elections only)."""
         ledger.submit(
             self.account,
-            self.contract_address,
+            ledger.contract_address,
             messages.Publish(n=self.sealing_key.n, d=self.sealing_key.d),
         )
 
@@ -216,7 +213,6 @@ def voter_prepare(
 def voter_obtain_signature(
     state: VoterState,
     ledger: Ledger,
-    contract_address: bytes,
     organizer: Organizer,
 ) -> VoterState:
     """Sign stage: request, collect the response, check it on-contract, unblind.
@@ -234,7 +230,7 @@ def voter_obtain_signature(
         raise SignRefused(f"organizer refused request at index {request.index}")
     check = ledger.submit(
         state.eligible_account,
-        contract_address,
+        ledger.contract_address,
         messages.Check(response.signed_blinded, state.blinded),
     )
     if not check.result:
@@ -260,7 +256,6 @@ def _find_response(ledger: Ledger, state: VoterState, after: int):
 def voter_cast(
     state: VoterState,
     ledger: Ledger,
-    contract_address: bytes,
     seed: int | random.Random,
     anonymous: bool = True,
 ) -> bool:
@@ -279,7 +274,7 @@ def voter_cast(
         sender = state.eligible_account
     receipt = ledger.submit(
         sender,
-        contract_address,
+        ledger.contract_address,
         messages.Cast(signed=state.signed, ballot=state.ballot, uuid=state.uuid),
     )
     return bool(receipt.result)
@@ -300,14 +295,14 @@ def prove_receipt(state: VoterState) -> Receipt:
     )
 
 
-def verify_receipt(receipt: Receipt, ledger: Ledger, contract: ElectionContract) -> bool:
+def verify_receipt(receipt: Receipt, ledger: Ledger) -> bool:
     """Third-party check that a receipt proves a counted vote.
 
     Three links must all hold: re-blinding (ballot, uuid, r) reproduces the
     blinded value; that value sits in the signing response at the claimed
-    ledger index; and the uuid maps to the ballot in the ballot box.
+    ledger index; and the uuid maps to the ballot in the ledger's ballot box.
     """
-    pk = contract.params.pk
+    pk = ledger.contract.params.pk
     try:
         reconstructed = blind(ballot_digest(receipt.ballot, receipt.uuid), receipt.r, pk)
     except (NonUnit, ValueError):
@@ -321,4 +316,4 @@ def verify_receipt(receipt: Receipt, ledger: Ledger, contract: ElectionContract)
         return False
     if tx.payload.blinded != receipt.blinded or tx.payload.signed_blinded == REFUSED:
         return False
-    return contract.ballot_box.get(receipt.uuid) == receipt.ballot
+    return ledger.contract.ballot_box.get(receipt.uuid) == receipt.ballot

@@ -1,9 +1,9 @@
 """Election contract state machine.
 
-One deployed contract holds immutable parameters, a ballot box keyed by
-uuid, and (in sealed mode) the published decryption key. State changes
-only inside ledger execution; every method takes the logical clock so the
-phase windows are explicit:
+The one contract a ledger holds has immutable parameters (its deploy
+payload), a ballot box keyed by uuid, and (in sealed mode) the published
+decryption key. State changes only inside ledger execution; every method
+takes the logical clock so the phase windows are explicit:
 
     sign/check window   [st, ct)
     vote window         [ct, et)
@@ -50,8 +50,8 @@ _NONCE_LEN = 12
 
 @dataclass
 class ElectionContract:
-    """Deterministic contract instance addressed by the ledger; its
-    parameters are the deploy payload, checked when the ledger applies it."""
+    """The ledger's deterministic election contract; its parameters are
+    the deploy payload, checked when the ledger applies it."""
 
     params: messages.Deploy
     ballot_box: dict[bytes, bytes] = field(default_factory=dict)

@@ -57,7 +57,7 @@ class BadWindow(ProtocolError):
 
 
 class Redeploy(ProtocolError):
-    """A contract address is already taken."""
+    """A second deploy on a ledger that already holds its election contract."""
 
 
 class OutOfWindow(ProtocolError):

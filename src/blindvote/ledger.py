@@ -2,10 +2,11 @@
 
 Accounts are secret-derived addresses; possession of the secret is the
 whole authentication story. Transactions enter an append-only log under a
-lock (the serialization point), execute synchronously against deployed
-contracts, and carry a logical timestamp that never decreases along the
-log. There is no consensus, gas or forking: immutability is checked by
-exporting the log and replaying it into identical contract state.
+lock (the serialization point), execute synchronously against the one
+election contract, and carry a logical timestamp that never decreases
+along the log. There is no consensus, gas or forking: immutability is
+checked by exporting the log and replaying it into identical contract
+state.
 
 Wire format, one transaction per line:
 
@@ -73,18 +74,20 @@ class TxReceipt:
 
 
 class Ledger:
-    """Ordered transaction log plus the registry of deployed contracts.
+    """Ordered transaction log plus the one election contract it holds.
 
-    ``secrets`` maps a contract address to the KEM secrets (uuid -> x) that
-    the contract deployed there starts with (:meth:`ElectionContract.count`);
-    only a replay of a run's own transcript has them.
+    ``contract`` and ``contract_address`` are None until the deploy, and a
+    second deploy raises Redeploy. ``secrets`` are the KEM secrets (uuid ->
+    x) that the contract starts with (:meth:`ElectionContract.count`); only
+    a replay of a run's own transcript has them.
     """
 
-    def __init__(self, secrets: dict[bytes, dict[bytes, int]] | None = None):
+    def __init__(self, secrets: dict[bytes, int] | None = None):
         self._log: list[Transaction] = []
         self._results: list[object] = []
         self._clock = 0
-        self._contracts: dict[bytes, ElectionContract] = {}
+        self.contract: ElectionContract | None = None
+        self.contract_address: bytes | None = None
         self._secrets = secrets or {}
         self._lock = threading.Lock()
 
@@ -107,13 +110,6 @@ class Ledger:
     def results(self) -> tuple:
         """Execution result per log index (not part of the wire format)."""
         return tuple(self._results)
-
-    @property
-    def contracts(self) -> dict[bytes, ElectionContract]:
-        return dict(self._contracts)
-
-    def contract(self, address: bytes) -> ElectionContract:
-        return self._contracts[address]
 
     def advance_clock(self, to: int) -> None:
         with self._lock:
@@ -155,20 +151,18 @@ class Ledger:
     def _execute(self, tx: Transaction):
         if tx.recipient is None:
             return self._deploy(tx)
-        if tx.recipient in self._contracts:
-            return self._contracts[tx.recipient].execute(tx.payload, tx.timestamp)
+        if tx.recipient == self.contract_address:
+            return self.contract.execute(tx.payload, tx.timestamp)
         return None  # plain account-to-account message
 
     def _deploy(self, tx: Transaction) -> bytes:
-        payload = tx.payload
-        if not isinstance(payload, messages.Deploy):
+        if not isinstance(tx.payload, messages.Deploy):
             raise TypeError("contract creation requires a deploy payload")
-        address = derive_contract_address(tx.sender, tx.index)
-        if address in self._contracts:
-            raise Redeploy(f"contract address {address.hex()} already taken")
-        recorded = self._secrets.get(address, {})
-        self._contracts[address] = ElectionContract(payload, recorded=recorded)
-        return address
+        if self.contract is not None:
+            raise Redeploy("the ledger already holds its election contract")
+        self.contract = ElectionContract(tx.payload, recorded=self._secrets)
+        self.contract_address = derive_contract_address(tx.sender, tx.index)
+        return self.contract_address
 
     # -- transcript export / import -------------------------------------------
 
@@ -234,9 +228,10 @@ def replay(transactions, expected_results=None, secrets=None) -> Ledger:
     Senders are taken on faith (secrets never leave the wire format).
     Structural breaks raise ReplayDivergence with the first bad index;
     when the live run's receipt results are supplied, the first result
-    mismatch is reported the same way. An OSError is a failure of the
-    machine, not of the log, and propagates. ``secrets`` are the live
-    contracts' recorded KEM secrets by address (see :class:`Ledger`).
+    mismatch is reported the same way; a second deploy diverges at its
+    index. An OSError is a failure of the machine, not of the log, and
+    propagates. ``secrets`` are the live contract's recorded KEM secrets
+    (see :class:`Ledger`).
     """
     transactions = list(transactions)
     if expected_results is not None and len(expected_results) != len(transactions):

@@ -320,14 +320,15 @@ class Election:
 
     def setup_stage(self) -> None:
         listed = [(v.account.address, v.spec.chances) for v in self.voters if v.listed]
-        self.contract_address = self.organizer.setup(
+        self.organizer.setup(
             self.ledger,
             listed,
             self.config.st,
             self.config.ct,
             self.config.et,
         )
-        self.contract = self.ledger.contract(self.contract_address)
+        self.contract_address = self.ledger.contract_address
+        self.contract = self.ledger.contract
 
     def sign_stage(self) -> None:
         self.ledger.advance_clock(self.config.st)
@@ -343,9 +344,7 @@ class Election:
                 )
                 v.states.append(state)
                 try:
-                    voter_obtain_signature(
-                        state, self.ledger, self.contract_address, self.organizer
-                    )
+                    voter_obtain_signature(state, self.ledger, self.organizer)
                 except SignRefused:
                     v.refusals += 1
                 except CheckFailed:
@@ -362,7 +361,6 @@ class Election:
                 if voter_cast(
                     state,
                     self.ledger,
-                    self.contract_address,
                     self.rng,
                     anonymous=(v.spec.kind != "careless"),
                 ):
@@ -385,19 +383,19 @@ class Election:
         if self.config.sealed:
             # the pre-publication peek every sealed run gets probed with
             try:
-                self.contract.tally(self.ledger.clock)
+                self.ledger.contract.tally(self.ledger.clock)
                 self.fairness_problems.append("tally was readable before key publication")
             except ResultSealed:
                 pass
             self.fairness_problems += self._scan_plaintext(self.ledger.export())
             self.organizer.publish_result(self.ledger)
         observer = create_account(self.rng)
-        receipt = self.ledger.submit(observer, self.contract_address, messages.Tally())
+        receipt = self.ledger.submit(observer, self.ledger.contract_address, messages.Tally())
         self.onchain_tally = receipt.result
         # this run's own replays, here and in the verifiability row, open each
         # sealed entry with the secret the live count recorded; ``verify`` and
         # ``tally`` decrypt every entry, as anyone recounting a transcript has to
-        secrets = {self.contract_address: self.contract.kem_secrets()}
+        secrets = self.ledger.contract.kem_secrets()
         self.offchain_tally = recount(replay(self.ledger.log, secrets=secrets))
 
     def _scan_plaintext(self, transcript: str) -> list[str]:
@@ -458,9 +456,7 @@ class Election:
         """
         landed = self.landed_honest
         verified = sum(
-            1
-            for state in landed
-            if verify_receipt(prove_receipt(state), self.ledger, self.contract)
+            1 for state in landed if verify_receipt(prove_receipt(state), self.ledger)
         )
         return verified, len(landed)
 
@@ -577,12 +573,12 @@ def _robustness_row(election: Election) -> AssertionRow:
 
 
 def _verifiability_row(election: Election, transcript: str) -> AssertionRow:
-    secrets = {election.contract_address: election.contract.kem_secrets()}
+    secrets = election.contract.kem_secrets()
     try:
         replayed = replay(import_log(transcript), election.ledger.results, secrets)
     except (ParseError, ReplayDivergence) as exc:
         return _row("verifiability", False, f"replay failed: {exc}")
-    if replayed.contracts != election.ledger.contracts:
+    if replayed.contract != election.contract:
         return _row("verifiability", False, "replayed contract state diverged")
     if election.onchain_tally is not None:
         if election.offchain_tally != election.onchain_tally:
@@ -644,20 +640,16 @@ def _correctness_row(election: Election) -> AssertionRow:
 # --- transcript utilities ------------------------------------------------------------------
 
 def recount(ledger: Ledger) -> Counter:
-    """Off-chain recount over a (replayed) ledger's single election.
+    """Off-chain recount over a (replayed) ledger's election.
 
     Ignores phase windows: anyone holding the transcript counts the box.
     Raises ResultSealed when the election is sealed and the key was never
-    published on-ledger, and ParseError naming the second deploy (or index
-    0 when there is none) unless the ledger holds exactly one contract.
+    published on-ledger, and ParseError at index 0 when nothing was
+    deployed (a second deploy never gets this far: the replay refuses it).
     """
-    contracts = ledger.contracts
-    if len(contracts) != 1:
-        creates = [tx.index for tx in ledger.log if tx.recipient is None]
-        index = creates[1] if len(creates) > 1 else 0
-        raise ParseError(f"expected exactly one contract, found {len(contracts)}", index=index)
-    (contract,) = contracts.values()
-    return contract.count()
+    if ledger.contract is None:
+        raise ParseError("expected exactly one contract, found 0", index=0)
+    return ledger.contract.count()
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,8 @@ def test_c03_correctness_and_byte_identical_replay(tmp_path):
     txs = import_log(text)
     assert export_log(txs) == text
     replayed = replay(txs, expected_results=election.ledger.results)
-    assert replayed.contracts == election.ledger.contracts
+    assert replayed.contract is not None and replayed.contract == election.ledger.contract
+    assert replayed.contract_address == election.ledger.contract_address
     assert replayed.log == election.ledger.log
 
 

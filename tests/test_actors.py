@@ -35,11 +35,9 @@ def world():
     ledger = Ledger()
     organizer = Organizer(key=TOY, account=create_account(100))
     alice, bob = create_account(1), create_account(2)
-    contract_addr = organizer.setup(
-        ledger, [(alice.address, 1), (bob.address, 2)], st=10, ct=20, et=30
-    )
+    organizer.setup(ledger, [(alice.address, 1), (bob.address, 2)], st=10, ct=20, et=30)
     ledger.advance_clock(10)
-    return ledger, organizer, contract_addr, alice, bob
+    return ledger, organizer, alice, bob
 
 
 class TestPermissionList:
@@ -72,42 +70,42 @@ class TestPermissionList:
 
 class TestOrganizerSign:
     def test_listed_voter_signed_and_decremented(self, world):
-        ledger, organizer, _, alice, _ = world
+        ledger, organizer, alice, _ = world
         sig = organizer.decide_sign(alice.address, 1234, clock=10)
         assert pow(sig, TOY.e, TOY.n) == 1234
         assert organizer.permissions.chance(alice.address) == 0
 
     def test_multi_chance_budget(self, world):
-        _, organizer, _, _, bob = world
+        _, organizer, _, bob = world
         assert organizer.permissions.chance(bob.address) == 2
         organizer.decide_sign(bob.address, 1, clock=10)
         assert organizer.permissions.chance(bob.address) == 1
 
     def test_unlisted_gets_sentinel(self, world):
-        _, organizer, _, _, _ = world
+        _, organizer, _, _ = world
         outsider = create_account(999)
         assert organizer.decide_sign(outsider.address, 1234, clock=10) == REFUSED
 
     def test_exhausted_gets_sentinel(self, world):
-        _, organizer, _, alice, _ = world
+        _, organizer, alice, _ = world
         organizer.decide_sign(alice.address, 1, clock=10)
         assert organizer.decide_sign(alice.address, 2, clock=10) == REFUSED
 
     @pytest.mark.parametrize("blinded", [0, TOY.n, TOY.n + 1234])
     def test_out_of_range_refused_free(self, world, blinded):
-        _, organizer, _, alice, _ = world
+        _, organizer, alice, _ = world
         assert organizer.decide_sign(alice.address, blinded, clock=10) == REFUSED
         assert organizer.permissions.chance(alice.address) == 1
         assert organizer.issued == 0
 
     @pytest.mark.parametrize("clock", [9, 20, 25])
     def test_out_of_window(self, world, clock):
-        _, organizer, _, alice, _ = world
+        _, organizer, alice, _ = world
         with pytest.raises(OutOfWindow):
             organizer.decide_sign(alice.address, 1, clock=clock)
 
     def test_chance_conservation(self, world):
-        _, organizer, _, alice, bob = world
+        _, organizer, alice, bob = world
         initial = organizer.permissions.initial_total
         organizer.decide_sign(alice.address, 1, clock=10)
         organizer.decide_sign(bob.address, 2, clock=10)
@@ -115,7 +113,7 @@ class TestOrganizerSign:
         assert initial - organizer.permissions.total() == organizer.issued == 2
 
     def test_faulty_signature_refused_free(self, world, monkeypatch):
-        _, organizer, _, alice, _ = world
+        _, organizer, alice, _ = world
         good = organizer.decide_sign(alice.address, 1234, clock=10)
         organizer.permissions = PermissionList([(alice.address, 1)])
         organizer.issued = 0
@@ -168,7 +166,7 @@ class TestVoterPrepare:
         assert b"CANDIDATE" not in state.ballot
 
     def test_nothing_on_ledger(self, world):
-        ledger, _, _, alice, _ = world
+        ledger, _, alice, _ = world
         before = len(ledger.log)
         voter_prepare(b"A", 5, TOY.public, alice)
         assert len(ledger.log) == before
@@ -176,9 +174,9 @@ class TestVoterPrepare:
 
 class TestSignStage:
     def test_honest_flow_yields_verifying_signature(self, world):
-        ledger, organizer, addr, alice, _ = world
+        ledger, organizer, alice, _ = world
         state = voter_prepare(b"A", 5, TOY.public, alice)
-        voter_obtain_signature(state, ledger, addr, organizer)
+        voter_obtain_signature(state, ledger, organizer)
         assert state.signed is not None
         from blindvote.blindsig import ballot_digest
 
@@ -187,17 +185,23 @@ class TestSignStage:
         response = ledger.log[state.sign_tx_index].payload
         assert isinstance(response, messages.SignResponse)
         assert response.blinded == state.blinded
+        # the check went to the ledger's contract, which accepted it
+        (check,) = [
+            i for i, tx in enumerate(ledger.log) if isinstance(tx.payload, messages.Check)
+        ]
+        assert ledger.entry(check).recipient == ledger.contract_address
+        assert ledger.results[check] is True
 
     def test_ineligible_refused(self, world):
-        ledger, organizer, addr, _, _ = world
+        ledger, organizer, _, _ = world
         outsider = create_account(999)
         state = voter_prepare(b"A", 5, TOY.public, outsider)
         with pytest.raises(SignRefused):
-            voter_obtain_signature(state, ledger, addr, organizer)
+            voter_obtain_signature(state, ledger, organizer)
         assert state.signed is None
 
     def test_garbage_signature_caught_by_contract(self, world):
-        ledger, organizer, addr, alice, _ = world
+        ledger, organizer, alice, _ = world
 
         class CheatingOrganizer(Organizer):
             def decide_sign(self, sender, blinded, clock):
@@ -206,41 +210,43 @@ class TestSignStage:
 
         cheat = CheatingOrganizer(key=TOY, account=organizer.account)
         cheat.permissions = organizer.permissions
-        cheat.contract_address = organizer.contract_address
         cheat.deploy = organizer.deploy
         state = voter_prepare(b"A", 5, TOY.public, alice)
         with pytest.raises(CheckFailed):
-            voter_obtain_signature(state, ledger, addr, cheat)
+            voter_obtain_signature(state, ledger, cheat)
 
 
 class TestVoteStage:
     def _signed_state(self, world, seed=5):
-        ledger, organizer, addr, alice, _ = world
+        ledger, organizer, alice, _ = world
         state = voter_prepare(b"A", seed, TOY.public, alice)
-        voter_obtain_signature(state, ledger, addr, organizer)
+        voter_obtain_signature(state, ledger, organizer)
         ledger.advance_clock(20)
-        return ledger, addr, state
+        return ledger, state
 
     def test_honest_cast_accepted(self, world):
-        ledger, addr, state = self._signed_state(world)
-        assert voter_cast(state, ledger, addr, seed=77) is True
+        ledger, state = self._signed_state(world)
+        assert voter_cast(state, ledger, seed=77) is True
         assert state.anon_account is not None
         assert state.anon_account.address != state.eligible_account.address
+        assert ledger.log[-1].recipient == ledger.contract_address
+        assert ledger.contract.ballot_box == {state.uuid: state.ballot}
 
     def test_second_cast_rejected(self, world):
-        ledger, addr, state = self._signed_state(world)
-        assert voter_cast(state, ledger, addr, seed=77)
-        assert voter_cast(state, ledger, addr, seed=78) is False
+        ledger, state = self._signed_state(world)
+        assert voter_cast(state, ledger, seed=77)
+        assert voter_cast(state, ledger, seed=78) is False
 
     def test_cast_without_signature(self, world):
-        ledger, _, addr, alice, _ = world
+        ledger, _, alice, _ = world
         state = voter_prepare(b"A", 5, TOY.public, alice)
         with pytest.raises(NoSignature):
-            voter_cast(state, ledger, addr, seed=77)
+            voter_cast(state, ledger, seed=77)
+        assert len(ledger) == 1  # the deploy only
 
     def test_careless_cast_from_eligible_account_still_lands(self, world):
-        ledger, addr, state = self._signed_state(world)
-        assert voter_cast(state, ledger, addr, seed=77, anonymous=False) is True
+        ledger, state = self._signed_state(world)
+        assert voter_cast(state, ledger, seed=77, anonymous=False) is True
         cast_tx = next(
             tx for tx in ledger.log if isinstance(tx.payload, messages.Cast)
         )
@@ -250,19 +256,19 @@ class TestVoteStage:
 
 class TestReceipts:
     def _completed(self, world):
-        ledger, organizer, addr, alice, _ = world
+        ledger, organizer, alice, _ = world
         state = voter_prepare(b"A", 5, TOY.public, alice)
-        voter_obtain_signature(state, ledger, addr, organizer)
+        voter_obtain_signature(state, ledger, organizer)
         ledger.advance_clock(20)
-        assert voter_cast(state, ledger, addr, seed=77)
-        return ledger, ledger.contract(addr), state
+        assert voter_cast(state, ledger, seed=77)
+        return ledger, state
 
     def test_genuine_receipt_verifies(self, world):
-        ledger, contract, state = self._completed(world)
-        assert verify_receipt(prove_receipt(state), ledger, contract) is True
+        ledger, state = self._completed(world)
+        assert verify_receipt(prove_receipt(state), ledger) is True
 
     def test_altered_ballot_fails(self, world):
-        ledger, contract, state = self._completed(world)
+        ledger, state = self._completed(world)
         receipt = prove_receipt(state)
         forged = type(receipt)(
             ballot=b"B",
@@ -271,10 +277,10 @@ class TestReceipts:
             blinded=receipt.blinded,
             sign_tx_index=receipt.sign_tx_index,
         )
-        assert verify_receipt(forged, ledger, contract) is False
+        assert verify_receipt(forged, ledger) is False
 
     def test_altered_r_fails(self, world):
-        ledger, contract, state = self._completed(world)
+        ledger, state = self._completed(world)
         receipt = prove_receipt(state)
         forged = type(receipt)(
             ballot=receipt.ballot,
@@ -283,10 +289,10 @@ class TestReceipts:
             blinded=receipt.blinded,
             sign_tx_index=receipt.sign_tx_index,
         )
-        assert verify_receipt(forged, ledger, contract) is False
+        assert verify_receipt(forged, ledger) is False
 
     def test_forged_tx_index_fails(self, world):
-        ledger, contract, state = self._completed(world)
+        ledger, state = self._completed(world)
         receipt = prove_receipt(state)
         forged = type(receipt)(
             ballot=receipt.ballot,
@@ -295,18 +301,18 @@ class TestReceipts:
             blinded=receipt.blinded,
             sign_tx_index=0,  # the deploy transaction
         )
-        assert verify_receipt(forged, ledger, contract) is False
+        assert verify_receipt(forged, ledger) is False
 
     def test_uncast_ballot_fails(self, world):
-        ledger, organizer, addr, alice, _ = world
+        ledger, organizer, alice, _ = world
         state = voter_prepare(b"A", 5, TOY.public, alice)
-        voter_obtain_signature(state, ledger, addr, organizer)
+        voter_obtain_signature(state, ledger, organizer)
         # never cast: box membership link is missing
         receipt = prove_receipt(state)
-        assert verify_receipt(receipt, ledger, ledger.contract(addr)) is False
+        assert verify_receipt(receipt, ledger) is False
 
     def test_receipt_before_sign_stage(self, world):
-        _, _, _, alice, _ = world
+        _, _, alice, _ = world
         state = voter_prepare(b"A", 5, TOY.public, alice)
         with pytest.raises(NoSignature):
             prove_receipt(state)

@@ -317,19 +317,26 @@ class TestDivergentTranscripts:
             "DIVERGENCE at index 0: recount: expected exactly one contract, found 0\n"
         )
 
-    def test_second_deploy_named(self, tmp_path, capsys):
+    @pytest.mark.parametrize("where", ["second", "middle", "last"])
+    def test_second_deploy_named(self, tmp_path, capsys, where):
         out = tmp_path / "honest"
         assert main(["run", str(ROOT / "configs" / "honest-10.json"), "--out", str(out)]) == 0
         capsys.readouterr()
         transcript = out / "transcript.log"
         lines = transcript.read_text().splitlines(keepends=True)
-        lines.insert(1, lines[0])
+        index = {"second": 1, "middle": len(lines) // 2, "last": len(lines)}[where]
+        # the copy takes the clock of the line before it, so that the second
+        # deploy is its only fault
+        _, _, rest = lines[0].split(" ", 2)
+        clock = lines[index - 1].split(" ")[1]
+        lines.insert(index, f"{index} {clock} {rest}")
         transcript.write_text(
             "".join(f"{i} {line.split(' ', 1)[1]}" for i, line in enumerate(lines))
         )
         assert main(["verify", str(transcript)]) == 1
         assert capsys.readouterr().out == (
-            "DIVERGENCE at index 1: recount: expected exactly one contract, found 2\n"
+            f"DIVERGENCE at index {index}: execution failed at index {index}: "
+            "the ledger already holds its election contract\n"
         )
 
     @pytest.mark.parametrize(

@@ -123,12 +123,17 @@ class TestDeploy:
     def test_deploy_returns_address(self, ledger, alice):
         receipt = ledger.submit(alice, None, deploy_payload())
         assert len(receipt.result) == ADDRESS_LEN
-        assert receipt.result in ledger.contracts
+        assert receipt.result == ledger.contract_address
+        assert ledger.contract.params == deploy_payload()
 
-    def test_two_deploys_two_addresses(self, ledger, alice):
-        a = ledger.submit(alice, None, deploy_payload()).result
-        b = ledger.submit(alice, None, deploy_payload()).result
-        assert a != b
+    def test_second_deploy_refused(self, ledger, alice, bob):
+        address = ledger.submit(alice, None, deploy_payload()).result
+        contract = ledger.contract
+        with pytest.raises(Redeploy):
+            ledger.submit(bob, None, deploy_payload(st_=11))
+        assert len(ledger) == 1
+        assert ledger.contract is contract
+        assert ledger.contract_address == address
 
     def test_address_collision_guard(self, ledger, alice):
         tx = Transaction(0, 0, alice.address, None, deploy_payload())
@@ -284,12 +289,22 @@ class TestReplay:
     def test_replay_reproduces_state(self):
         ledger = self._scenario()
         again = replay(import_log(ledger.export()), expected_results=ledger.results)
-        assert again.contracts == ledger.contracts
+        assert again.contract is not None and again.contract == ledger.contract
+        assert again.contract_address == ledger.contract_address
         assert again.log == ledger.log
 
     def test_empty_log_is_genesis(self):
         fresh = replay([])
-        assert fresh.log == () and fresh.contracts == {} and fresh.clock == 0
+        assert fresh.log == () and fresh.clock == 0
+        assert fresh.contract is None and fresh.contract_address is None
+
+    def test_second_deploy_diverges(self):
+        txs = import_log(self._scenario().export())
+        txs.insert(1, txs[0])
+        txs = [tx._replace(index=i) for i, tx in enumerate(txs)]
+        with pytest.raises(ReplayDivergence, match="already holds") as exc:
+            replay(txs)
+        assert exc.value.index == 1
 
     def test_index_gap_detected(self):
         ledger = self._scenario()

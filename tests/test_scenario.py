@@ -322,11 +322,9 @@ class TestSealedRun:
         junk = voter_prepare(
             b"NOT-A-CIPHERTEXT", election.rng, election.key.public, election.voters[-1].account
         )
-        voter_obtain_signature(
-            junk, election.ledger, election.contract_address, election.organizer
-        )
+        voter_obtain_signature(junk, election.ledger, election.organizer)
         election.vote_stage()
-        assert voter_cast(junk, election.ledger, election.contract_address, election.rng)
+        assert voter_cast(junk, election.ledger, election.rng)
         election.count_stage()
         assert election.onchain_tally == Counter({b"ALPHA": 3, b"BETA": 1})
         report = election.build_report()
