@@ -1,9 +1,9 @@
 """Organizer and voter client logic.
 
-The organizer deploys the contract, keeps the permission list with its
-per-address submission budget, and answers on-ledger signing requests:
-listed address with budget left gets a signature and loses one unit of
-budget, everyone else gets the refusal sentinel 0.
+The organizer deploys the contract, keeps the remaining chances of every
+listed address, and answers on-ledger signing requests: a listed address
+with a chance left gets a signature and loses one chance, everyone else
+gets the refusal sentinel 0.
 
 Voters blind locally (r and uuid never leave their state), obtain and
 check the signature through their eligible account, then cast through a
@@ -42,40 +42,15 @@ from .ledger import Account, Ledger, create_account
 from .rng import as_rng
 
 
-class PermissionList:
-    """Address -> remaining submission budget. Budgets only ever decrease."""
-
-    def __init__(self, entries: list[tuple[bytes, int]]):
-        seen = set()
-        for address, chances in entries:
-            if address in seen:
-                raise DuplicateAddress(f"address {address.hex()} listed twice")
-            if chances < 1:
-                raise ValueError(f"chances must be >= 1, got {chances}")
-            seen.add(address)
-        self._chances = {address: chances for address, chances in entries}
-        self.initial_total = sum(c for _, c in entries)
-
-    def chance(self, address: bytes) -> int:
-        return self._chances.get(address, 0)
-
-    def decrement(self, address: bytes) -> None:
-        if self._chances.get(address, 0) < 1:
-            raise ValueError("no budget left to decrement")
-        self._chances[address] -= 1
-
-    def total(self) -> int:
-        return sum(self._chances.values())
-
-
 class Organizer:
-    """Holds the signing key, the permission list, and the sign-stage loop."""
+    """Holds the signing key, the voters' chances, and the sign-stage loop."""
 
     def __init__(self, key: KeyPair, account: Account, sealing_key: KeyPair | None = None):
         self.key = key
         self.account = account
         self.sealing_key = sealing_key
-        self.permissions: PermissionList | None = None
+        self.chances: dict[bytes, int] = {}  # listed address -> chances left
+        self.budget = 0  # total chances at setup
         self.issued = 0  # non-zero signatures handed out
         self._cursor = 0  # first log index not yet scanned for requests
         self.deploy: messages.Deploy | None = None  # the payload setup submitted
@@ -92,9 +67,15 @@ class Organizer:
         ct: int,
         et: int,
     ) -> None:
-        """Deploy the contract and freeze the permission list; the election
-        is sealed when the organizer holds a sealing key."""
-        self.permissions = PermissionList(voters)
+        """Deploy the contract and freeze the voter list (sealed when the
+        organizer holds a sealing key); a refused setup changes nothing."""
+        chances = {}
+        for address, count in voters:
+            if address in chances:
+                raise DuplicateAddress(f"address {address.hex()} listed twice")
+            if count < 1:
+                raise ValueError(f"chances must be >= 1, got {count}")
+            chances[address] = count
         sealing = self.sealing_key
         deploy = messages.Deploy(
             n=self.key.n,
@@ -108,23 +89,25 @@ class Organizer:
         )
         ledger.submit(self.account, None, deploy)
         self.deploy = deploy
+        self.chances = chances
+        self.budget = sum(chances.values())
 
     def decide_sign(self, sender: bytes, blinded: int, clock: int) -> int:
-        """Sign-or-refuse: listed sender with budget gets blinded^d, else 0.
+        """Sign-or-refuse: listed sender with a chance left gets blinded^d, else 0.
 
-        A blinded value outside [1, n) is refused, and so is a signature
-        that fails its own check; neither costs budget.
+        A signature that fails its own check is refused free; so is a blinded
+        value outside [1, n), whose signature is 0 or fails that check.
         """
         if self.deploy is None:
             raise RuntimeError("setup() has not run")
         st, ct = self.deploy.st, self.deploy.ct
         if not st <= clock < ct:
             raise OutOfWindow(f"sign request at clock {clock}, window [{st}, {ct})")
-        if not (0 < blinded < self.key.n and self.permissions.chance(sender) > 0):
+        if self.chances.get(sender, 0) < 1:
             return REFUSED
         signed = sign_blinded(blinded, self.key)
         if signed != REFUSED:
-            self.permissions.decrement(sender)
+            self.chances[sender] -= 1
             self.issued += 1
         return signed
 

@@ -62,7 +62,8 @@ def _recast(config: ScenarioConfig, what: str, rejected: str) -> tuple[Election,
     e = _voted(config)
     state = _first_landed(e)
     payload = messages.Cast(signed=state.signed, ballot=state.ballot, uuid=state.uuid)
-    accepted = bool(e.ledger.submit(create_account(e.rng), e.contract_address, payload).result)
+    receipt = e.ledger.submit(create_account(e.rng), e.ledger.contract_address, payload)
+    accepted = bool(receipt.result)
     e.count_stage()
     return e, accepted, f"{what} " + ("was accepted" if accepted else rejected)
 
@@ -103,7 +104,7 @@ def forge_signature(config: ScenarioConfig):
     for _ in range(FORGERY_TRIALS):
         guess = e.rng.randrange(0, n)
         receipt = e.ledger.submit(
-            forger, e.contract_address, messages.Cast(guess, ballot, uuid)
+            forger, e.ledger.contract_address, messages.Cast(guess, ballot, uuid)
         )
         if receipt.result:
             accepted += 1
@@ -140,7 +141,7 @@ def early_tally(config: ScenarioConfig):
     e.ledger.advance_clock(config.et - 1)
     snoop = create_account(e.rng)
     try:
-        e.ledger.submit(snoop, e.contract_address, messages.Tally())
+        e.ledger.submit(snoop, e.ledger.contract_address, messages.Tally())
         succeeded = True
     except ElectionOpen:
         succeeded = False

@@ -27,6 +27,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import messages
 from .blindsig import (
+    UUID_LEN,
     KeyPair,
     PublicKey,
     ballot_digest,
@@ -106,7 +107,7 @@ class ElectionContract:
         p = self.params
         if not p.ct <= clock < p.et:
             raise OutOfWindow(f"cast at clock {clock}, window [{p.ct}, {p.et})")
-        if len(uuid) != 16 or uuid in self.ballot_box or not 0 < signed < p.n:
+        if len(uuid) != UUID_LEN or uuid in self.ballot_box or not 0 < signed < p.n:
             return False
         if not verify(signed, ballot_digest(ballot, uuid), p.pk):
             return False

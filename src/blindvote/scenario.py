@@ -309,8 +309,6 @@ class Election:
             key=self.key, account=create_account(self.rng), sealing_key=self.sealing_key
         )
         self.voters = [VoterRun(spec, create_account(self.rng)) for spec in config.voters]
-        self.contract_address: bytes | None = None
-        self.contract = None
         # populated by count_stage
         self.onchain_tally: Counter | None = None
         self.offchain_tally: Counter | None = None
@@ -327,8 +325,6 @@ class Election:
             self.config.ct,
             self.config.et,
         )
-        self.contract_address = self.ledger.contract_address
-        self.contract = self.ledger.contract
 
     def sign_stage(self) -> None:
         self.ledger.advance_clock(self.config.st)
@@ -373,7 +369,7 @@ class Election:
         fake_signed = self.rng.randrange(1, self.key.n)
         receipt = self.ledger.submit(
             create_account(self.rng),
-            self.contract_address,
+            self.ledger.contract_address,
             messages.Cast(signed=fake_signed, ballot=state.ballot, uuid=state.uuid),
         )
         return bool(receipt.result)
@@ -440,7 +436,7 @@ class Election:
     @property
     def injected_casts(self) -> int:
         """Accepted casts injected outside the voter workflow, read from the box."""
-        return len(self.contract.ballot_box) - sum(v.accepted for v in self.voters)
+        return len(self.ledger.contract.ballot_box) - sum(v.accepted for v in self.voters)
 
     @property
     def landed_honest(self) -> list[VoterState]:
@@ -573,12 +569,12 @@ def _robustness_row(election: Election) -> AssertionRow:
 
 
 def _verifiability_row(election: Election, transcript: str) -> AssertionRow:
-    secrets = election.contract.kem_secrets()
+    secrets = election.ledger.contract.kem_secrets()
     try:
         replayed = replay(import_log(transcript), election.ledger.results, secrets)
     except (ParseError, ReplayDivergence) as exc:
         return _row("verifiability", False, f"replay failed: {exc}")
-    if replayed.contract != election.contract:
+    if replayed.contract != election.ledger.contract:
         return _row("verifiability", False, "replayed contract state diverged")
     if election.onchain_tally is not None:
         if election.offchain_tally != election.onchain_tally:
@@ -592,7 +588,7 @@ def _eligibility_row(election: Election) -> AssertionRow:
         for state in v.states:
             owner_by_uuid[state.uuid] = state
     problems = []
-    for uuid in election.contract.ballot_box:
+    for uuid in election.ledger.contract.ballot_box:
         state = owner_by_uuid.get(uuid)
         if state is None:
             problems.append(f"box entry {uuid.hex()} traces to no voter")
@@ -607,8 +603,8 @@ def _eligibility_row(election: Election) -> AssertionRow:
 
 
 def _pmv_row(election: Election) -> AssertionRow:
-    budget = election.organizer.permissions.initial_total
-    box = len(election.contract.ballot_box)
+    budget = election.organizer.budget
+    box = len(election.ledger.contract.ballot_box)
     problems = []
     if box > budget:
         problems.append(f"ballot box {box} exceeds total chances {budget}")

@@ -153,8 +153,8 @@ def test_c04_democracy_eligibility_bound():
             ScenarioConfig(st=10, ct=20, et=30, voters=voters, seed=meta.getrandbits(32))
         )
         election.run()
-        budget = election.organizer.permissions.initial_total
-        assert len(election.contract.ballot_box) <= budget, f"case {case}"
+        budget = election.organizer.budget
+        assert len(election.ledger.contract.ballot_box) <= budget, f"case {case}"
 
 
 def test_c05_multiple_voting_prevention_sweep():
@@ -201,7 +201,7 @@ def test_c07_fairness_sealed_mode():
     election.vote_stage()
     election.ledger.advance_clock(30)
     with pytest.raises(ResultSealed):
-        election.contract.tally(election.ledger.clock)
+        election.ledger.contract.tally(election.ledger.clock)
     transcript = election.ledger.export()
     for spec in voters:
         assert spec.ballot.encode().hex() not in transcript

@@ -8,64 +8,44 @@ import pytest
 from blindvote import blindsig, messages
 from blindvote.actors import (
     Organizer,
-    PermissionList,
     prove_receipt,
     verify_receipt,
     voter_cast,
     voter_obtain_signature,
     voter_prepare,
 )
-from blindvote.blindsig import REFUSED, TOY_KEYPAIR, keypair_from_primes, verify
+from blindvote.blindsig import REFUSED, TOY_KEYPAIR, keygen, keypair_from_primes, verify
 from blindvote.errors import (
     CheckFailed,
     DuplicateAddress,
     NoSignature,
     OutOfWindow,
+    Redeploy,
     SignRefused,
 )
 from blindvote.ledger import Ledger, create_account
 
 TOY = TOY_KEYPAIR
 SEALING = keypair_from_primes(67, 71, 17)
+KEY_512 = keygen(512, 3)
+
+#: (m, c) for the blinded value m * n + c: 0, n, n + 5, 2n - 1 and -3, all outside [1, n)
+OUT_OF_RANGE = [(0, 0), (1, 0), (1, 5), (2, -1), (0, -3)]
 
 
-@pytest.fixture
-def world():
+def _deployed(key):
     """Deployed election with two eligible voters (bob has two chances)."""
     ledger = Ledger()
-    organizer = Organizer(key=TOY, account=create_account(100))
+    organizer = Organizer(key=key, account=create_account(100))
     alice, bob = create_account(1), create_account(2)
     organizer.setup(ledger, [(alice.address, 1), (bob.address, 2)], st=10, ct=20, et=30)
     ledger.advance_clock(10)
     return ledger, organizer, alice, bob
 
 
-class TestPermissionList:
-    def test_totals(self):
-        a, b = create_account(1), create_account(2)
-        pl = PermissionList([(a.address, 1), (b.address, 2)])
-        assert pl.initial_total == 3 and pl.total() == 3
-
-    def test_duplicate_address(self):
-        a = create_account(1)
-        with pytest.raises(DuplicateAddress):
-            PermissionList([(a.address, 1), (a.address, 2)])
-
-    def test_zero_chances_rejected(self):
-        with pytest.raises(ValueError):
-            PermissionList([(create_account(1).address, 0)])
-
-    def test_decrement_floor(self):
-        a = create_account(1)
-        pl = PermissionList([(a.address, 1)])
-        pl.decrement(a.address)
-        assert pl.chance(a.address) == 0
-        with pytest.raises(ValueError):
-            pl.decrement(a.address)
-
-    def test_unlisted_chance_is_zero(self):
-        pl = PermissionList([(create_account(1).address, 1)])
-        assert pl.chance(create_account(2).address) == 0
+@pytest.fixture
+def world():
+    return _deployed(TOY)
 
 
 class TestOrganizerSign:
@@ -73,29 +53,37 @@ class TestOrganizerSign:
         ledger, organizer, alice, _ = world
         sig = organizer.decide_sign(alice.address, 1234, clock=10)
         assert pow(sig, TOY.e, TOY.n) == 1234
-        assert organizer.permissions.chance(alice.address) == 0
+        assert organizer.chances[alice.address] == 0
 
     def test_multi_chance_budget(self, world):
         _, organizer, _, bob = world
-        assert organizer.permissions.chance(bob.address) == 2
+        assert organizer.chances[bob.address] == 2
         organizer.decide_sign(bob.address, 1, clock=10)
-        assert organizer.permissions.chance(bob.address) == 1
+        assert organizer.chances[bob.address] == 1
 
     def test_unlisted_gets_sentinel(self, world):
         _, organizer, _, _ = world
         outsider = create_account(999)
+        assert outsider.address not in organizer.chances
         assert organizer.decide_sign(outsider.address, 1234, clock=10) == REFUSED
+        assert outsider.address not in organizer.chances and organizer.issued == 0
 
     def test_exhausted_gets_sentinel(self, world):
         _, organizer, alice, _ = world
         organizer.decide_sign(alice.address, 1, clock=10)
         assert organizer.decide_sign(alice.address, 2, clock=10) == REFUSED
+        assert organizer.chances[alice.address] == 0 and organizer.issued == 1
 
-    @pytest.mark.parametrize("blinded", [0, TOY.n, TOY.n + 1234])
-    def test_out_of_range_refused_free(self, world, blinded):
-        _, organizer, alice, _ = world
-        assert organizer.decide_sign(alice.address, blinded, clock=10) == REFUSED
-        assert organizer.permissions.chance(alice.address) == 1
+    @pytest.mark.parametrize(
+        "key, m, c",
+        [pytest.param(TOY, m, c, id=str(m * TOY.n + c)) for m, c in OUT_OF_RANGE]
+        + [pytest.param(KEY_512, m, c, id=f"512bit-{m}n{c:+d}") for m, c in OUT_OF_RANGE],
+    )
+    def test_out_of_range_refused_free(self, key, m, c):
+        # sign_blinded's fault check is the one range guard
+        _, organizer, alice, _ = _deployed(key)
+        assert organizer.decide_sign(alice.address, m * key.n + c, clock=10) == REFUSED
+        assert organizer.chances[alice.address] == 1
         assert organizer.issued == 0
 
     @pytest.mark.parametrize("clock", [9, 20, 25])
@@ -106,20 +94,19 @@ class TestOrganizerSign:
 
     def test_chance_conservation(self, world):
         _, organizer, alice, bob = world
-        initial = organizer.permissions.initial_total
         organizer.decide_sign(alice.address, 1, clock=10)
         organizer.decide_sign(bob.address, 2, clock=10)
         organizer.decide_sign(create_account(999).address, 3, clock=10)  # refused
-        assert initial - organizer.permissions.total() == organizer.issued == 2
+        assert organizer.budget - sum(organizer.chances.values()) == organizer.issued == 2
 
     def test_faulty_signature_refused_free(self, world, monkeypatch):
         _, organizer, alice, _ = world
         good = organizer.decide_sign(alice.address, 1234, clock=10)
-        organizer.permissions = PermissionList([(alice.address, 1)])
+        organizer.chances[alice.address] = 1
         organizer.issued = 0
         monkeypatch.setattr(blindsig, "crt_pow", lambda x, key: (good + 1) % key.n)
         assert organizer.decide_sign(alice.address, 1234, clock=10) == REFUSED
-        assert organizer.permissions.chance(alice.address) == 1
+        assert organizer.chances[alice.address] == 1
         assert organizer.issued == 0
 
     def test_duplicate_setup_address(self):
@@ -127,7 +114,29 @@ class TestOrganizerSign:
         organizer = Organizer(key=TOY, account=create_account(100))
         a = create_account(1)
         with pytest.raises(DuplicateAddress):
-            organizer.setup(ledger, [(a.address, 1), (a.address, 1)], 10, 20, 30)
+            organizer.setup(ledger, [(a.address, 1), (a.address, 2)], 10, 20, 30)
+        assert len(ledger) == 0 and organizer.deploy is None and organizer.chances == {}
+
+    def test_zero_chances_setup_refused(self):
+        ledger = Ledger()
+        organizer = Organizer(key=TOY, account=create_account(100))
+        with pytest.raises(ValueError):
+            organizer.setup(ledger, [(create_account(1).address, 0)], 10, 20, 30)
+        assert len(ledger) == 0 and organizer.deploy is None and organizer.chances == {}
+
+    def test_setup_budget(self, world):
+        _, organizer, alice, bob = world
+        assert organizer.chances == {alice.address: 1, bob.address: 2}
+        assert organizer.budget == 3
+
+    def test_refused_second_setup_changes_nothing(self, world):
+        ledger, organizer, alice, bob = world
+        deploy, length = organizer.deploy, len(ledger)
+        with pytest.raises(Redeploy):
+            organizer.setup(ledger, [(bob.address, 5)], 11, 21, 31)
+        assert organizer.chances == {alice.address: 1, bob.address: 2}
+        assert organizer.budget == 3
+        assert organizer.deploy is deploy and len(ledger) == length
 
 
 class TestVoterPrepare:
@@ -209,7 +218,7 @@ class TestSignStage:
                 return 1111  # arbitrary wrong value
 
         cheat = CheatingOrganizer(key=TOY, account=organizer.account)
-        cheat.permissions = organizer.permissions
+        cheat.chances = organizer.chances
         cheat.deploy = organizer.deploy
         state = voter_prepare(b"A", 5, TOY.public, alice)
         with pytest.raises(CheckFailed):

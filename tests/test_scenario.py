@@ -289,7 +289,8 @@ class TestSealedRun:
         election.sign_stage()
         election.vote_stage()
         cast = messages.Cast(signed=1, ballot=b"A", uuid=bytes(16))
-        election.ledger.submit(election.voters[0].account, election.contract_address, cast)
+        voter = election.voters[0].account
+        election.ledger.submit(voter, election.ledger.contract_address, cast)
         election.count_stage()
         assert election.fairness_problems == ["a: ballot bytes inside a cast payload"]
 
@@ -304,7 +305,7 @@ class TestSealedRun:
         request = messages.SignRequest(int.from_bytes(b"ALPHA", "big"))
         election.ledger.submit(outsider, bytes(20), request)
         cast = messages.Cast(signed=1, ballot=b"ALPHA", uuid=bytes(16))
-        election.ledger.submit(outsider, election.contract_address, cast)
+        election.ledger.submit(outsider, election.ledger.contract_address, cast)
         election.count_stage()
         assert election.fairness_problems == []
         report = election.build_report()
@@ -350,7 +351,7 @@ class TestSealedRun:
             del calls[:]
             election = Election(replace(config, key_bits=key_bits))
             election.run()
-            box = list(election.contract.ballot_box.values())
+            box = list(election.ledger.contract.ballot_box.values())
             assert len(box) == 4 and calls == box
             report = election.build_report()
             report.write(tmp_path / str(key_bits))
@@ -461,7 +462,7 @@ def _r_is_a_request_value(election):
 
 
 def _tally_readable_before_publication(election, monkeypatch):
-    monkeypatch.setattr(election.contract, "tally", lambda clock: Counter())
+    monkeypatch.setattr(election.ledger.contract, "tally", lambda clock: Counter())
 
 
 def _ballot_hex_in_a_message(election, monkeypatch):
@@ -479,7 +480,8 @@ def _stuffed_cast(election, monkeypatch):
     m = fdh(ballot_digest(ballot, uuid), key.n)
     signed = next(s for s in range(1, key.n) if pow(s, key.e, key.n) == m)
     cast = messages.Cast(signed, ballot, uuid)
-    receipt = election.ledger.submit(create_account(election.rng), election.contract_address, cast)
+    account = create_account(election.rng)
+    receipt = election.ledger.submit(account, election.ledger.contract_address, cast)
     assert receipt.result
 
 
@@ -498,7 +500,7 @@ GRADER_FAULTS = [
     ("robustness", "an unsigned adversarial cast was accepted", {}, _stuffed_cast, None),
     ("verifiability", "replay failed:", {}, None, lambda e: e.ledger.export()[:-1]),
     ("verifiability", "replayed contract state diverged", {}, None,
-     lambda e: e.contract.ballot_box.update({bytes(16): b"X"})),
+     lambda e: e.ledger.contract.ballot_box.update({bytes(16): b"X"})),
     ("verifiability", "off-chain recount disagrees with contract", {}, None,
      lambda e: setattr(e, "offchain_tally", Counter())),
     ("democracy-eligibility", "lacks an organizer signature", {}, None,
