@@ -48,6 +48,26 @@ def world():
     return _deployed(TOY)
 
 
+class TestPermissionList:
+    """The organizer's voter list: Organizer.chances as setup builds it."""
+
+    def test_duplicate_address(self):
+        ledger = Ledger()
+        organizer = Organizer(key=TOY, account=create_account(100))
+        a, b = create_account(1), create_account(2)
+        with pytest.raises(DuplicateAddress):
+            organizer.setup(ledger, [(a.address, 1), (b.address, 1), (a.address, 1)], 10, 20, 30)
+        assert organizer.chances == {} and organizer.budget == 0
+        organizer.setup(ledger, [(a.address, 1), (b.address, 1)], 10, 20, 30)
+        assert organizer.chances == {a.address: 1, b.address: 1}
+
+    def test_unlisted_chance_is_zero(self, world):
+        _, organizer, alice, bob = world
+        outsider = create_account(999)
+        assert organizer.chances.get(outsider.address, 0) == 0
+        assert set(organizer.chances) == {alice.address, bob.address}
+
+
 class TestOrganizerSign:
     def test_listed_voter_signed_and_decremented(self, world):
         ledger, organizer, alice, _ = world
