@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Print the per-size cost of one modular power, as in README.md's modexp table.
+
+For each modulus size, three ways of computing base^exp mod n, medians in
+microseconds: CPython's ``pow``, one ``BN_mod_exp`` call (OpenSSL works out
+the modulus' Montgomery constants on each call), and ``BN_mod_exp_mont``
+with the modulus and its Montgomery context kept, as a key keeps them.
+Once with e = 65537 and once with an exponent as long as the modulus.
+
+    PYTHONPATH=src python scripts/modexp_table.py
+"""
+
+import random
+import statistics
+import sys
+import time
+
+from blindvote import blindsig
+
+SIZES = (256, 384, 512, 768, 1024, 1536, 2048)
+REPEAT = 9
+#: wall time of one sample; each sample repeats the power to fill it
+SAMPLE_S = 0.005
+
+
+def _median_us(fn, repeat: int) -> float:
+    start = time.perf_counter()
+    fn()
+    number = max(1, min(1000, int(SAMPLE_S / (time.perf_counter() - start))))
+    samples = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for _ in range(number):
+            fn()
+        samples.append((time.perf_counter() - start) / number)
+    return statistics.median(samples) * 1e6
+
+
+def _row(bits: int, full: bool, repeat: int) -> tuple[float, float, float]:
+    rng = random.Random(bits)
+    mod = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+    base = rng.randrange(2, mod)
+    exp = rng.getrandbits(bits) | (1 << (bits - 1)) if full else 65537
+    bn = blindsig._bn()
+    kept = blindsig._Mont(mod)
+    kept._build(bn[0])
+    cells = (
+        lambda: pow(base, exp, mod),
+        lambda: blindsig._native(*bn, base, exp, mod, None),
+        lambda: blindsig._native(*bn, base, exp, mod, kept._made[1:]),
+    )
+    return tuple(_median_us(fn, repeat) for fn in cells)
+
+
+def _cell(us: float) -> str:
+    return f"{us:,.0f}" if us >= 100 else f"{us:.3g}"
+
+
+def table(repeat: int = REPEAT) -> str:
+    """Both tables as markdown, each cell the median of ``repeat`` samples."""
+    lines = []
+    for full, title in ((False, "e = 65537"), (True, "exponent as long as n")):
+        rows = [_row(bits, full, repeat) for bits in SIZES]
+        lines.append(f"| {title}, µs | " + " | ".join(map(str, SIZES)) + " bits |")
+        lines.append("|---" * (len(SIZES) + 1) + "|")
+        for i, name in enumerate(("`pow`", "`BN_mod_exp`", "`BN_mod_exp_mont`, kept context")):
+            lines.append(f"| {name} | " + " | ".join(_cell(row[i]) for row in rows) + " |")
+        lines.append("")
+    return "\n".join(lines)
+
+
+def main() -> int:
+    if blindsig._bn() is None:
+        print("libcrypto.so.3 cannot be loaded", file=sys.stderr)
+        return 1
+    print(table())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

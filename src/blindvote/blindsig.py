@@ -22,6 +22,7 @@ import functools
 import hashlib
 import math
 import random
+import threading
 from dataclasses import dataclass, field
 
 from .errors import NonUnit, RefusalSentinel
@@ -39,6 +40,14 @@ _PUBLIC_EXPONENTS = (65537, 257, 17, 5, 3)
 class PublicKey:
     n: int
     e: int
+    _mont: _Mont = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_mont", _Mont(self.n))
+
+    def power(self, x: int) -> int:
+        """x^e mod n."""
+        return self._mont.pow(x, self.e)
 
 
 @dataclass(frozen=True)
@@ -50,43 +59,46 @@ class KeyPair:
     d: int
     p: int
     q: int
-    # (dp, dq, q^-1 mod p); dp lies in [1, p - 1] and is congruent to d, so
-    # x^dp = x^d mod p for every x, multiples of p included (likewise dq)
-    _crt: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    # the one public half, whose context serves every power mod n
+    public: PublicKey = field(init=False, repr=False, compare=False)
+    # (dp, dq, q^-1 mod p, context mod p, context mod q); dp lies in
+    # [1, p - 1] and is congruent to d, so x^dp = x^d mod p for every x,
+    # multiples of p included (likewise dq)
+    _crt: tuple[int, int, int, _Mont, _Mont] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 < self.q < self.p or self.p * self.q != self.n:
             raise ValueError("need n = p * q with 1 < q < p")
         dp = (self.d - 1) % (self.p - 1) + 1
         dq = (self.d - 1) % (self.q - 1) + 1
-        object.__setattr__(self, "_crt", (dp, dq, pow(self.q, -1, self.p)))
-
-    @property
-    def public(self) -> PublicKey:
-        return PublicKey(self.n, self.e)
+        crt = (dp, dq, pow(self.q, -1, self.p), _Mont(self.p), _Mont(self.q))
+        object.__setattr__(self, "public", PublicKey(self.n, self.e))
+        object.__setattr__(self, "_crt", crt)
 
 
 # --- modular exponentiation -----------------------------------------------------
 
 #: Smallest modulus, in bits, at which :func:`modexp` calls OpenSSL for an
-#: exponent at least half as long as the modulus, such as a private one. On a
-#: 2-vCPU VM (Python 3.11.7, OpenSSL 3.0.19, medians of 7) a power with an
-#: exponent as long as the modulus took 18 us with ``pow`` against 31 us
-#: through ctypes at 64 bits, 23 against 23 us at 80, 33 against 25 us at
-#: 96, 0.16 against 0.05 ms at 256 and 36 against 3.0 ms at 2048; a call
-#: through ctypes costs about 22 us. Not a setting.
+#: exponent at least half as long as the modulus, such as a private one.
+#: Measured for a modulus that keeps its Montgomery context (:class:`_Mont`),
+#: as every key's do: on a 2-vCPU VM (Python 3.11.7, OpenSSL 3.0.19; medians
+#: of 41 interleaved samples) a power took, ``pow`` against OpenSSL, with an
+#: exponent as long as the modulus 18.7 / 19.6 us at 64 bits, 16.0 / 9.3 at
+#: 72 and 20.6 / 14.3 at 80; with one half as long 10.9 / 13.0 at 72, 10.5 /
+#: 8.8 at 80 and 13.2 / 8.6 at 96. Not a setting.
 NATIVE_BITS = 80
 
 #: Smallest modulus, in bits, at which :func:`modexp` calls OpenSSL for a
 #: short exponent, one under half the modulus' length, such as a public
 #: exponent: its few multiplications win back the call's cost only at larger
-#: moduli. Same machine, e = 65537, ``pow`` against native, medians of 9 (us):
-#: 384 bits 16.7 / 26.7, 512 26.5 / 26.5, 576 32.4 / 29.7, 640 34.8 / 30.3,
-#: 768 48.9 / 30.5, 1024 75.3 / 33.8, 2048 257.4 / 50.9. With e = 3, which
-#: keygen picks only when 65537, 257, 17 and 5 all share a factor with
-#: phi(n), ``pow`` stays faster: 9.3 / 22.3 at 1024 bits, 30.9 / 31.3 at
-#: 2048. Not a setting.
-SHORT_EXP_BITS = 600
+#: moduli. Same machine and context, e = 65537, ``pow`` against OpenSSL (us):
+#: 256 bits 6.7 / 8.0, 288 9.8 / 11.3, 320 9.0 / 8.4, 352 12.9 / 13.1, 384
+#: 11.3 / 8.5, 512 19.4 / 9.1. A one-off ``BN_mod_exp``, which works the
+#: context out again, costs about 25 us up to 512 bits, but no short power
+#: on a key's modulus is one-off. With e = 3, which keygen picks only when
+#: 65537, 257, 17 and 5 all share a factor with phi(n), ``pow`` stays faster
+#: up to 1024 bits: 7.3 / 10.8 there, 25.7 / 16.2 at 2048. Not a setting.
+SHORT_EXP_BITS = 384
 
 
 @functools.cache
@@ -110,6 +122,10 @@ def _bn():
             ("BN_bn2binpad", size, [ptr, ctypes.c_char_p, size]),
             ("BN_mod_exp", size, [ptr, ptr, ptr, ptr, ptr]),
             ("BN_clear_free", None, [ptr]),
+            ("BN_MONT_CTX_new", ptr, []),
+            ("BN_MONT_CTX_set", size, [ptr, ptr, ptr]),
+            ("BN_MONT_CTX_free", None, [ptr]),
+            ("BN_mod_exp_mont", size, [ptr, ptr, ptr, ptr, ptr, ptr]),
         ]:
             fn = getattr(lib, name)
             fn.restype, fn.argtypes = restype, argtypes
@@ -118,32 +134,24 @@ def _bn():
     return lib, ctypes.create_string_buffer
 
 
-def modexp(base: int, exp: int, mod: int) -> int:
-    """``pow(base, exp, mod)`` for exp >= 0 and mod >= 1.
+def _bignum(lib, value: int):
+    raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
+    return lib.BN_bin2bn(raw, len(raw), None)
 
-    Where OpenSSL's Montgomery multiplication beats CPython's ``pow``
-    (Menezes et al., Handbook of Applied Cryptography, 14.6),
-    ``BN_mod_exp`` computes it: from NATIVE_BITS on, and from
-    SHORT_EXP_BITS on for an exponent under half the modulus' length.
-    Below that, or where libcrypto cannot be loaded, ``pow`` does. A failed
-    native call raises OSError, a failure of the machine.
-    """
+
+def _native(lib, buffer, base: int, exp: int, mod: int, mont: tuple | None) -> int:
+    """base^exp mod mod in OpenSSL, with a kept (modulus, context) pair if any."""
     bits = mod.bit_length()
-    short = 2 * exp.bit_length() < bits
-    bn = _bn() if bits >= (SHORT_EXP_BITS if short else NATIVE_BITS) else None
-    if bn is None:
-        return pow(base, exp, mod)
-    lib, buffer = bn
     size = (bits + 7) // 8
     ctx = lib.BN_CTX_new()  # one per call, so that threads share none
     nums = [lib.BN_new()]
     try:
-        for value in (base % mod, exp, mod):
-            raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
-            nums.append(lib.BN_bin2bn(raw, len(raw), None))
+        nums += [_bignum(lib, v) for v in (base % mod, exp, mod)[: 2 if mont else 3]]
+        name = "BN_mod_exp_mont" if mont else "BN_mod_exp"
+        last = (mont[0], ctx, mont[1]) if mont else (ctx,)
+        if not ctx or not all(nums) or getattr(lib, name)(*nums, *last) != 1:
+            raise OSError(f"{name} failed for a {bits}-bit modulus")
         out = buffer(size)
-        if not ctx or not all(nums) or lib.BN_mod_exp(*nums, ctx) != 1:
-            raise OSError(f"BN_mod_exp failed for a {bits}-bit modulus")
         if lib.BN_bn2binpad(nums[0], out, size) != size:
             raise OSError("BN_bn2binpad failed")
         return int.from_bytes(out.raw, "big")
@@ -151,6 +159,62 @@ def modexp(base: int, exp: int, mod: int) -> int:
         for num in nums:
             lib.BN_clear_free(num)  # a no-op on NULL
         lib.BN_CTX_free(ctx)
+
+
+def _native_from(bits: int) -> float:
+    """Shortest exponent that :func:`modexp` sends to OpenSSL; inf for none."""
+    return 0 if bits >= SHORT_EXP_BITS else (bits + 1) // 2 if bits >= NATIVE_BITS else math.inf
+
+
+def modexp(base: int, exp: int, mod: int) -> int:
+    """``pow(base, exp, mod)`` for exp >= 0 and mod >= 1, for one-off powers:
+    by ``BN_mod_exp`` where OpenSSL beats ``pow`` (NATIVE_BITS, SHORT_EXP_BITS)
+    and libcrypto loads. A failed native call raises OSError."""
+    bn = _bn() if exp.bit_length() >= _native_from(mod.bit_length()) else None
+    return pow(base, exp, mod) if bn is None else _native(*bn, base, exp, mod, None)
+
+
+class _Mont:
+    """:func:`modexp` for one modulus a key owns, keeping the ``BIGNUM`` and
+    ``BN_MONT_CTX`` that ``BN_mod_exp`` remakes per call: made at the first native
+    power, shared read-only by threads, freed with this object, not copied."""
+
+    __slots__ = ("mod", "_from", "_made")
+    _building = threading.Lock()
+
+    def __init__(self, mod: int):
+        self.mod, self._made = mod, None
+        # Montgomery form needs an odd modulus: an even one stays on pow
+        self._from = _native_from(mod.bit_length()) if mod % 2 else math.inf
+
+    def __reduce__(self):
+        return _Mont, (self.mod,)
+
+    def pow(self, base: int, exp: int) -> int:
+        if exp.bit_length() < self._from or (bn := _bn()) is None:
+            return pow(base, exp, self.mod)
+        if self._made is None:
+            self._build(bn[0])
+        return _native(*bn, base, exp, self.mod, self._made[1:])
+
+    def _build(self, lib) -> None:
+        with self._building:
+            if self._made is not None:  # another thread made them
+                return
+            num, mont, ctx = _bignum(lib, self.mod), lib.BN_MONT_CTX_new(), lib.BN_CTX_new()
+            ok = num and mont and ctx and lib.BN_MONT_CTX_set(mont, num, ctx)
+            lib.BN_CTX_free(ctx)
+            if ok != 1:
+                lib.BN_MONT_CTX_free(mont)
+                lib.BN_clear_free(num)
+                raise OSError(f"BN_MONT_CTX_set failed for a {self.mod.bit_length()}-bit modulus")
+            self._made = (lib, num, mont)
+
+    def __del__(self):
+        if self._made is not None:
+            lib, num, mont = self._made
+            lib.BN_MONT_CTX_free(mont)
+            lib.BN_clear_free(num)
 
 
 # --- key generation ----------------------------------------------------------
@@ -190,11 +254,12 @@ def _is_probable_prime(x: int, rng: random.Random) -> bool:
         # stream as one that Miller-Rabin rejects, and keys do not change
         if math.gcd(x, _SCREEN) != 1:
             return False
+    mont = _Mont(x)
     for a in bases:
         a %= x
         if a in (0, 1, x - 1):
             continue
-        y = modexp(a, d, x)
+        y = mont.pow(a, d)
         if y in (1, x - 1):
             continue
         for _ in range(s - 1):
@@ -360,7 +425,7 @@ def blind(digest: bytes, r: int, key: PublicKey) -> int:
     """FDH(digest) * r^e mod n."""
     if math.gcd(r, key.n) != 1:
         raise NonUnit(f"blinding factor {r} is not a unit mod n")
-    return fdh(digest, key.n) * modexp(r, key.e, key.n) % key.n
+    return fdh(digest, key.n) * key.power(r) % key.n
 
 
 def crt_pow(x: int, key: KeyPair) -> int:
@@ -371,9 +436,9 @@ def crt_pow(x: int, key: KeyPair) -> int:
     Both half-size powers go through :func:`modexp`, so signing and
     unsealing run in OpenSSL once the primes reach NATIVE_BITS.
     """
-    dp, dq, q_inv = key._crt
-    mp = modexp(x, dp, key.p)
-    mq = modexp(x, dq, key.q)
+    dp, dq, q_inv, mont_p, mont_q = key._crt
+    mp = mont_p.pow(x, dp)
+    mq = mont_q.pow(x, dq)
     return mq + (mp - mq) * q_inv % key.p * key.q
 
 
@@ -385,7 +450,7 @@ def sign_blinded(blinded: int, key: KeyPair) -> int:
     prime (Boneh, DeMillo and Lipton, EUROCRYPT 1997).
     """
     signed = crt_pow(blinded, key)
-    if modexp(signed, key.e, key.n) != blinded:
+    if key.public.power(signed) != blinded:
         return REFUSED
     return signed
 
@@ -403,7 +468,7 @@ def unblind(signed_blinded: int, r: int, key: PublicKey) -> int:
 
 def verify(signed: int, digest: bytes, key: PublicKey) -> bool:
     """True iff signed^e mod n equals FDH(digest)."""
-    return modexp(signed, key.e, key.n) == fdh(digest, key.n)
+    return key.power(signed) == fdh(digest, key.n)
 
 
 # --- serialization --------------------------------------------------------------

@@ -97,10 +97,9 @@ class ElectionContract:
         p = self.params
         if not p.st <= clock < p.ct:
             raise OutOfWindow(f"check at clock {clock}, window [{p.st}, {p.ct})")
-        n = p.n
-        if not (0 < signed_blinded < n and 0 < blinded < n):
+        if not (0 < signed_blinded < p.n and 0 < blinded < p.n):
             return False
-        return modexp(signed_blinded, p.e, n) == blinded
+        return p.pk.power(signed_blinded) == blinded
 
     def cast(self, signed: int, ballot: bytes, uuid: bytes, clock: int) -> bool:
         """Judge a ballot; accepted entries go into the box keyed by uuid."""
@@ -185,7 +184,7 @@ def seal_ballot(ballot: bytes, sealing_pk: PublicKey, seed) -> bytes:
     rng = as_rng(seed)
     nbytes = (sealing_pk.n.bit_length() + 7) // 8
     x = rng.randrange(1, sealing_pk.n)
-    wrapped = modexp(x, sealing_pk.e, sealing_pk.n).to_bytes(nbytes, "big")
+    wrapped = sealing_pk.power(x).to_bytes(nbytes, "big")
     nonce = rng.randbytes(_NONCE_LEN)
     body = AESGCM(_kem_key(x, nbytes)).encrypt(nonce, ballot, None)
     return wrapped + nonce + body
@@ -238,7 +237,7 @@ def _open_entry(sealed: bytes, key: KeyPair, x: int | None) -> tuple[bytes, int]
     except ValueError:
         wrapped = None  # no secret opens it; unseal_ballot spoils it
     try:
-        if x is not None and 0 < x < key.n and modexp(x, key.e, key.n) == wrapped:
+        if x is not None and 0 < x < key.n and key.public.power(x) == wrapped:
             return _open(sealed, x, key.n), x
         return unseal_ballot(sealed, key)
     except ValueError:

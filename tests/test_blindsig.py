@@ -9,10 +9,15 @@ multiplication (no pow()) before the implementation existed:
     lambda(3233) = lcm(60, 52) = 780, and 17 * 2753 mod 780 = 1
 """
 
+import gc
+import importlib.util
 import math
 import os
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -24,6 +29,7 @@ from blindvote.blindsig import (
     REFUSED,
     TOY_KEYPAIR,
     KeyPair,
+    PublicKey,
     ballot_digest,
     blind,
     crt_pow,
@@ -197,10 +203,11 @@ def _modexp_case(draw, bits):
 
 class TestModexp:
     @pytest.mark.parametrize("native", [True, False], ids=["openssl", "pow"])
-    @pytest.mark.parametrize("bits", [
-        2, 17, blindsig.NATIVE_BITS - 1, blindsig.NATIVE_BITS, 256, 1024,
+    # each threshold and the size below it, and fixed sizes around them
+    @pytest.mark.parametrize("bits", sorted({
+        2, 17, blindsig.NATIVE_BITS - 1, blindsig.NATIVE_BITS, 256, 599, 600, 1024,
         blindsig.SHORT_EXP_BITS - 1, blindsig.SHORT_EXP_BITS, 2048,
-    ])
+    }))
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_equals_pow(self, native, bits, data):
@@ -231,15 +238,22 @@ class TestModexp:
         monkeypatch.setattr(blindsig, "_bn", lambda: (counting, buffer))
         below, at = (1 << (blindsig.NATIVE_BITS - 2)) + 1, (1 << (blindsig.NATIVE_BITS - 1)) + 1
         assert modexp(3, below - 2, below) == pow(3, below - 2, below)
+        assert blindsig._Mont(below).pow(3, below - 2) == pow(3, below - 2, below)
         assert counting.calls == []
         assert modexp(3, at - 2, at) == pow(3, at - 2, at)
         assert counting.calls.count("BN_mod_exp") == 1
+        kept = blindsig._Mont(at)
+        assert [kept.pow(3, at - 2), kept.pow(5, at - 2)] == [pow(b, at - 2, at) for b in (3, 5)]
+        assert counting.calls.count("BN_mod_exp_mont") == 2
+        assert counting.calls.count("BN_MONT_CTX_set") == 1
+        assert counting.calls.count("BN_mod_exp") == 1
 
-    @pytest.mark.parametrize("bits, native", [(2048, 1), (1024, 1), (512, 0), (None, 0)])
+    @pytest.mark.parametrize("bits, native", [(2048, 1), (1024, 1), (512, 1), (None, 0)])
     def test_each_public_power_is_one_modexp(self, monkeypatch, bits, native):
         # every public-exponent power (e = 65537, or 17 on the toy key), checks
-        # included, goes through modexp, in OpenSSL from SHORT_EXP_BITS on; the
-        # two CRT halves of signing are private powers, in OpenSSL from 80 bits
+        # included, follows modexp's rule, in OpenSSL from SHORT_EXP_BITS on;
+        # the two CRT halves of signing are private powers, in OpenSSL from 80
+        # bits; each runs on its key's kept context, none as a one-off call
         lib, buffer = _openssl()
         key = TOY if bits is None else keygen(bits, 0)
         crt_native = 0 if bits is None else 2
@@ -250,9 +264,12 @@ class TestModexp:
         counting = _Counting(lib)
         monkeypatch.setattr(blindsig, "_bn", lambda: (counting, buffer))
 
+        def powers():
+            return sum(counting.calls.count(name) for name in ("BN_mod_exp", "BN_mod_exp_mont"))
+
         def calls(fn, *args):
-            before = counting.calls.count("BN_mod_exp")
-            return fn(*args), counting.calls.count("BN_mod_exp") - before
+            before = powers()
+            return fn(*args), powers() - before
 
         blinded, n_blind = calls(blind, digest, 7, key.public)
         signed_blinded, n_sign = calls(sign_blinded, blinded, key)
@@ -264,15 +281,40 @@ class TestModexp:
         assert calls(c.cast, signed, b"ALPHA", bytes(16), 20) == (True, native)
         assert calls(seal_ballot, b"ALPHA", key.public, 2)[1] == native
         assert calls(_open_entry, sealed, key, x) == ((b"ALPHA", x), native)
+        assert "BN_mod_exp" not in counting.calls
+        # only the contract's fresh key built a context here: the others were
+        # built before counting began
+        assert counting.calls.count("BN_MONT_CTX_set") == native
 
     def test_a_failed_call_raises_and_frees(self, monkeypatch):
         lib, buffer = _openssl()
-        failing = _Counting(lib, BN_mod_exp=lambda *args: 0)
+        mod = 2**255 + 19
+        kept = blindsig._Mont(mod)
+        assert kept.pow(3, mod - 2) == pow(3, mod - 2, mod)
+        failing = _Counting(lib, BN_mod_exp=lambda *args: 0, BN_mod_exp_mont=lambda *args: 0)
         monkeypatch.setattr(blindsig, "_bn", lambda: (failing, buffer))
         with pytest.raises(OSError, match="BN_mod_exp failed for a 256-bit modulus"):
-            modexp(5, 2**255 + 7, 2**255 + 19)
+            modexp(5, 2**255 + 7, mod)
         # the result and three operands, then the context
         assert failing.calls[-5:] == ["BN_clear_free"] * 4 + ["BN_CTX_free"]
+        with pytest.raises(OSError, match="BN_mod_exp_mont failed for a 256-bit modulus"):
+            kept.pow(5, 2**255 + 7)
+        # the result and two operands, then the context; the kept pair stays
+        assert failing.calls[-4:] == ["BN_clear_free"] * 3 + ["BN_CTX_free"]
+        assert "BN_MONT_CTX_free" not in failing.calls
+
+    def test_a_failed_context_set_up_raises_and_frees(self, monkeypatch):
+        lib, buffer = _openssl()
+        failing = _Counting(lib, BN_MONT_CTX_set=lambda *args: 0)
+        monkeypatch.setattr(blindsig, "_bn", lambda: (failing, buffer))
+        kept = blindsig._Mont(2**255 + 19)
+        with pytest.raises(OSError, match="BN_MONT_CTX_set failed for a 256-bit modulus"):
+            kept.pow(5, 2**255 + 7)
+        assert failing.calls[-4:] == [
+            "BN_MONT_CTX_set", "BN_CTX_free", "BN_MONT_CTX_free", "BN_clear_free"
+        ]
+        monkeypatch.setattr(blindsig, "_bn", lambda: (lib, buffer))
+        assert kept.pow(5, 2**255 + 7) == pow(5, 2**255 + 7, 2**255 + 19)
 
     def test_keys_do_not_depend_on_openssl(self):
         _openssl()
@@ -285,6 +327,118 @@ class TestModexp:
 def _no_openssl():
     """Makes modexp fall back to pow, as where libcrypto cannot be loaded."""
     return mock.patch.object(blindsig, "_bn", lambda: None)
+
+
+class TestKeptContext:
+    @pytest.mark.parametrize("bits", [80, 256, 512, 1024, 2048])
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_context_gives_pows_result(self, bits, data):
+        lib, buffer = _openssl()
+        base, exp, mod = data.draw(_modexp_case(bits))
+        mod |= 1
+        kept = blindsig._Mont(mod)
+        kept._build(lib)
+        # the native call with the kept pair whatever the sizes, then twice
+        # through the dispatch rule; the pair serves every power
+        native = blindsig._native(lib, buffer, base, exp, mod, kept._made[1:])
+        assert native == pow(base, exp, mod)
+        again, other = data.draw(_modexp_case(bits))[:2]
+        assert [kept.pow(base, exp), kept.pow(again, other)] == [
+            pow(base, exp, mod), pow(again, other, mod)
+        ]
+
+    def test_an_even_modulus_gets_no_context(self):
+        _openssl()
+        mod = 2**512 + 2**300
+        kept = blindsig._Mont(mod)
+        for exp in (65537, mod - 1):
+            assert kept.pow(3, exp) == pow(3, exp, mod)
+        assert kept._made is None
+
+    def test_keys_and_signatures_as_with_the_binding_off(self):
+        _openssl()
+        digest = ballot_digest(b"ALPHA", bytes(16))
+
+        def calls(key):
+            blinded = blind(digest, 7, key.public)
+            signed_blinded = sign_blinded(blinded, key)
+            signed = unblind(signed_blinded, 7, key.public)
+            return blinded, signed_blinded, verify(signed, digest, key.public), crt_pow(5, key)
+
+        key = keygen(2048, 0)
+        native = calls(key)
+        assert all(m._made is not None for m in (key.public._mont, *key._crt[3:]))
+        with _no_openssl():
+            off = keygen(2048, 0)
+            assert off == key
+            assert calls(off) == native
+        assert all(m._made is None for m in (off.public._mont, *off._crt[3:]))
+        assert native[1] != REFUSED and native[2] is True
+
+    def test_built_once_freed_once_invisible(self, monkeypatch):
+        lib, buffer = _openssl()
+        key = keygen(512, 3)
+        twin = keypair_from_primes(key.p, key.q)
+        looks = (repr(key), hash(key), repr(key.public), hash(key.public))
+        counting = _Counting(lib)
+        monkeypatch.setattr(blindsig, "_bn", lambda: (counting, buffer))
+        digest = ballot_digest(b"ALPHA", bytes(16))
+        for r in (7, 11, 13):
+            signed = unblind(sign_blinded(blind(digest, r, key.public), key), r, key.public)
+            assert verify(signed, digest, key.public)
+        # n, p and q; the public half is one object, so n has one context
+        assert counting.calls.count("BN_MONT_CTX_set") == 3
+        assert counting.calls.count("BN_mod_exp_mont") == 3 * 5
+        assert key.public is key.public
+        assert key == twin and key.public == twin.public
+        assert (repr(key), hash(key), repr(key.public), hash(key.public)) == looks
+        assert "BN_MONT_CTX_free" not in counting.calls
+        del key
+        gc.collect()
+        assert counting.calls.count("BN_MONT_CTX_free") == 3
+        assert twin.public._mont._made is None  # never took a native power
+
+    def test_four_threads_share_one_public_key(self, monkeypatch):
+        lib, buffer = _openssl()
+        key = keygen(1024, 5)
+        digest = ballot_digest(b"ALPHA", bytes(16))
+        signed = unblind(sign_blinded(blind(digest, 7, key.public), key), 7, key.public)
+        cases = [(signed, digest), (signed + 1, digest), (signed, digest[:-1] + b"x")] * 8
+        expected = [verify(s, d, key.public) for s, d in cases]
+        assert expected[:3] == [True, False, False]
+        counting = _Counting(lib)
+        monkeypatch.setattr(blindsig, "_bn", lambda: (counting, buffer))
+        shared = PublicKey(key.n, key.e)  # no context until the threads race for it
+        start = threading.Barrier(4)
+
+        def work(_):
+            start.wait()
+            return [verify(s, d, shared) for s, d in cases]
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(work, range(4))) == [expected] * 4
+        assert counting.calls.count("BN_MONT_CTX_set") == 1
+        assert counting.calls.count("BN_mod_exp_mont") == 4 * len(cases)
+
+
+def test_modexp_table_script_at_one_repetition():
+    _openssl()
+    path = Path(__file__).resolve().parent.parent / "scripts" / "modexp_table.py"
+    spec = importlib.util.spec_from_file_location("modexp_table", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    lines = script.table(repeat=1).splitlines()
+    sizes = " | ".join(map(str, script.SIZES))
+    assert [line for line in lines if sizes in line] == [
+        f"| e = 65537, µs | {sizes} bits |", f"| exponent as long as n, µs | {sizes} bits |"
+    ]
+    rows = [line.split(" | ") for line in lines if line.startswith("| `")]
+    names = ["| `pow`", "| `BN_mod_exp`", "| `BN_mod_exp_mont`, kept context"]
+    assert [row[0] for row in rows] == names * 2
+    for row in rows:
+        cells = [float(cell.strip(" |").replace(",", "")) for cell in row[1:]]
+        assert len(cells) == len(script.SIZES) and all(c > 0 for c in cells)
 
 
 class TestCRT:

@@ -413,17 +413,17 @@ def unseal_calls(monkeypatch):
 
 
 class _FailingModExp:
-    """libcrypto with a BN_mod_exp that fails, as on an allocation failure."""
+    """libcrypto whose powers fail, as on an allocation failure: the one-off
+    ``BN_mod_exp`` and, unless ``kept_too`` is False, ``BN_mod_exp_mont`` on
+    a kept Montgomery context."""
 
-    def __init__(self, lib):
-        self._lib = lib
+    def __init__(self, lib, kept_too=True):
+        self._lib, self._failing = lib, {"BN_mod_exp", "BN_mod_exp_mont"}
+        if not kept_too:
+            self._failing.remove("BN_mod_exp_mont")
 
     def __getattr__(self, name):
-        return getattr(self._lib, name)
-
-    @staticmethod
-    def BN_mod_exp(*args):
-        return 0
+        return (lambda *args: 0) if name in self._failing else getattr(self._lib, name)
 
 
 class TestUnsealAll:
@@ -503,19 +503,23 @@ class TestUnsealAll:
         report.write(tmp_path)
 
         lib, buffer = blindsig._bn()
-        monkeypatch.setattr(blindsig, "_bn", lambda: (_FailingModExp(lib), buffer))
-        with pytest.raises(OSError, match="BN_mod_exp failed"):
-            verify_transcript(report.transcript_path, report.report_path)
-        assert main(["verify", report.transcript_path]) == 2
-        out = capsys.readouterr()
-        assert "DIVERGENCE" not in out.out
-        assert "BN_mod_exp failed for a 1024-bit modulus" in out.err
+        # every power but Publish's factoring walk runs on a kept context
+        for kept_too, name in [(False, "BN_mod_exp"), (True, "BN_mod_exp_mont")]:
+            failing = _FailingModExp(lib, kept_too)
+            monkeypatch.setattr(blindsig, "_bn", lambda: (failing, buffer))
+            with pytest.raises(OSError, match=f"{name} failed for a 1024-bit modulus"):
+                verify_transcript(report.transcript_path, report.report_path)
+            assert main(["verify", report.transcript_path]) == 2
+            out = capsys.readouterr()
+            assert "DIVERGENCE" not in out.out
+            assert f"{name} failed for a 1024-bit modulus" in out.err
 
     def test_a_failed_native_signature_check_in_verify_is_no_divergence(
         self, tmp_path, monkeypatch, capsys
     ):
         # a cast's signature check is a public-exponent power, in OpenSSL at
-        # 1024 bits; BN_mod_exp fails from the first one on
+        # 1024 bits on the deploy key's kept context; the powers fail from the
+        # first one on
         if blindsig._bn() is None:
             pytest.skip("libcrypto cannot be loaded here")
         election = Election(SEALED_1024)
@@ -535,7 +539,7 @@ class TestUnsealAll:
         out = capsys.readouterr()
         assert len(checked) == 1  # the replay stopped at its first cast
         assert "DIVERGENCE" not in out.out
-        assert "BN_mod_exp failed for a 1024-bit modulus" in out.err
+        assert "BN_mod_exp_mont failed for a 1024-bit modulus" in out.err
 
 
 def _recorded_cases(key):
