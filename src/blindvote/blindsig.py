@@ -43,11 +43,11 @@ class PublicKey:
     _mont: _Mont = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_mont", _Mont(self.n))
+        object.__setattr__(self, "_mont", _Mont(self.n, self.e))
 
     def power(self, x: int) -> int:
         """x^e mod n."""
-        return self._mont.pow(x, self.e)
+        return self._mont.pow(x)
 
 
 @dataclass(frozen=True)
@@ -59,46 +59,45 @@ class KeyPair:
     d: int
     p: int
     q: int
-    # the one public half, whose context serves every power mod n
+    # the one public half, whose context serves every power x^e mod n
     public: PublicKey = field(init=False, repr=False, compare=False)
-    # (dp, dq, q^-1 mod p, context mod p, context mod q); dp lies in
-    # [1, p - 1] and is congruent to d, so x^dp = x^d mod p for every x,
-    # multiples of p included (likewise dq)
-    _crt: tuple[int, int, int, _Mont, _Mont] = field(init=False, repr=False, compare=False)
+    # (q^-1 mod p, x -> x^dp mod p, x -> x^dq mod q); dp lies in [1, p - 1]
+    # and is congruent to d, so x^dp = x^d mod p for every x, multiples of p
+    # included (likewise dq)
+    _crt: tuple[int, _Mont, _Mont] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 < self.q < self.p or self.p * self.q != self.n:
             raise ValueError("need n = p * q with 1 < q < p")
         dp = (self.d - 1) % (self.p - 1) + 1
         dq = (self.d - 1) % (self.q - 1) + 1
-        crt = (dp, dq, pow(self.q, -1, self.p), _Mont(self.p), _Mont(self.q))
+        crt = (pow(self.q, -1, self.p), _Mont(self.p, dp), _Mont(self.q, dq))
         object.__setattr__(self, "public", PublicKey(self.n, self.e))
         object.__setattr__(self, "_crt", crt)
 
 
 # --- modular exponentiation -----------------------------------------------------
 
-#: Smallest modulus, in bits, at which :func:`modexp` calls OpenSSL for an
+#: Smallest modulus, in bits, at which a power goes to OpenSSL with an
 #: exponent at least half as long as the modulus, such as a private one.
-#: Measured for a modulus that keeps its Montgomery context (:class:`_Mont`),
-#: as every key's do: on a 2-vCPU VM (Python 3.11.7, OpenSSL 3.0.19; medians
-#: of 41 interleaved samples) a power took, ``pow`` against OpenSSL, with an
-#: exponent as long as the modulus 18.7 / 19.6 us at 64 bits, 16.0 / 9.3 at
-#: 72 and 20.6 / 14.3 at 80; with one half as long 10.9 / 13.0 at 72, 10.5 /
-#: 8.8 at 80 and 13.2 / 8.6 at 96. Not a setting.
-NATIVE_BITS = 80
+#: Measured for the power a key runs (:class:`_Mont`) on a shared 2-vCPU VM
+#: (Python 3.11.7, OpenSSL 3.0.19; medians of three runs of 41 interleaved
+#: samples), ``pow`` against OpenSSL with a half-length exponent: 5.4 / 5.7
+#: us at 56 bits, 8.3 / 6.2 at 64, 9.4 / 4.5 at 72. A one-off ``BN_mod_exp``
+#: breaks even only near 76 bits (16.6 / 27.3 us at 64, 18.1 / 16.6 at 80),
+#: but the one-off powers on so small a modulus are :func:`factor_modulus`'s
+#: on keys under 80 bits, which no workload uses. Not a setting.
+NATIVE_BITS = 64
 
-#: Smallest modulus, in bits, at which :func:`modexp` calls OpenSSL for a
-#: short exponent, one under half the modulus' length, such as a public
-#: exponent: its few multiplications win back the call's cost only at larger
-#: moduli. Same machine and context, e = 65537, ``pow`` against OpenSSL (us):
-#: 256 bits 6.7 / 8.0, 288 9.8 / 11.3, 320 9.0 / 8.4, 352 12.9 / 13.1, 384
-#: 11.3 / 8.5, 512 19.4 / 9.1. A one-off ``BN_mod_exp``, which works the
-#: context out again, costs about 25 us up to 512 bits, but no short power
-#: on a key's modulus is one-off. With e = 3, which keygen picks only when
-#: 65537, 257, 17 and 5 all share a factor with phi(n), ``pow`` stays faster
-#: up to 1024 bits: 7.3 / 10.8 there, 25.7 / 16.2 at 2048. Not a setting.
-SHORT_EXP_BITS = 384
+#: Smallest modulus, in bits, at which e = 65537 goes to OpenSSL; a shorter
+#: exponent needs a longer modulus (:func:`_goes_native`). Same machine,
+#: ``pow`` against OpenSSL (us): e = 65537 at 160 bits 5.0 / 4.2, 224 6.2 /
+#: 4.4; e = 3 at 832 bits 4.9 / 5.2, 896 5.6 / 5.6, 960 6.2 / 5.9. Set above
+#: e = 65537's own crossover, which lies below 160 bits, so that e = 3 goes
+#: native from 896 bits, not before its crossover. A one-off ``BN_mod_exp``,
+#: which works the context out again, costs 15-30 us, but no short power on
+#: a key's modulus is one-off. Not a setting.
+SHORT_EXP_BITS = 224
 
 
 @functools.cache
@@ -139,18 +138,15 @@ def _bignum(lib, value: int):
     return lib.BN_bin2bn(raw, len(raw), None)
 
 
-def _native(lib, buffer, base: int, exp: int, mod: int, mont: tuple | None) -> int:
-    """base^exp mod mod in OpenSSL, with a kept (modulus, context) pair if any."""
+def _native(lib, buffer, base: int, exp: int, mod: int) -> int:
+    """base^exp mod mod by one ``BN_mod_exp`` call."""
     bits = mod.bit_length()
     size = (bits + 7) // 8
     ctx = lib.BN_CTX_new()  # one per call, so that threads share none
-    nums = [lib.BN_new()]
+    nums = [lib.BN_new()] + [_bignum(lib, v) for v in (base % mod, exp, mod)]
     try:
-        nums += [_bignum(lib, v) for v in (base % mod, exp, mod)[: 2 if mont else 3]]
-        name = "BN_mod_exp_mont" if mont else "BN_mod_exp"
-        last = (mont[0], ctx, mont[1]) if mont else (ctx,)
-        if not ctx or not all(nums) or getattr(lib, name)(*nums, *last) != 1:
-            raise OSError(f"{name} failed for a {bits}-bit modulus")
+        if not ctx or not all(nums) or lib.BN_mod_exp(*nums, ctx) != 1:
+            raise OSError(f"BN_mod_exp failed for a {bits}-bit modulus")
         out = buffer(size)
         if lib.BN_bn2binpad(nums[0], out, size) != size:
             raise OSError("BN_bn2binpad failed")
@@ -161,60 +157,91 @@ def _native(lib, buffer, base: int, exp: int, mod: int, mont: tuple | None) -> i
         lib.BN_CTX_free(ctx)
 
 
-def _native_from(bits: int) -> float:
-    """Shortest exponent that :func:`modexp` sends to OpenSSL; inf for none."""
-    return 0 if bits >= SHORT_EXP_BITS else (bits + 1) // 2 if bits >= NATIVE_BITS else math.inf
+def _goes_native(bits: int, exp_bits: int) -> bool:
+    """Whether OpenSSL beats ``pow``: from NATIVE_BITS on for an exponent half as long as
+    the modulus, else once its exp_bits - 1 squarings cost what 65537's do at SHORT_EXP_BITS."""
+    return bits >= NATIVE_BITS and (
+        2 * exp_bits >= bits or (exp_bits - 1) * bits * bits >= 16 * SHORT_EXP_BITS**2
+    )
 
 
 def modexp(base: int, exp: int, mod: int) -> int:
-    """``pow(base, exp, mod)`` for exp >= 0 and mod >= 1, for one-off powers:
-    by ``BN_mod_exp`` where OpenSSL beats ``pow`` (NATIVE_BITS, SHORT_EXP_BITS)
-    and libcrypto loads. A failed native call raises OSError."""
-    bn = _bn() if exp.bit_length() >= _native_from(mod.bit_length()) else None
-    return pow(base, exp, mod) if bn is None else _native(*bn, base, exp, mod, None)
+    """``pow(base, exp, mod)`` for exp >= 0 and mod >= 1, for one-off powers: by ``BN_mod_exp``
+    where :func:`_goes_native` says so and libcrypto loads. A failed native call raises OSError."""
+    bn = _bn() if _goes_native(mod.bit_length(), exp.bit_length()) else None
+    return pow(base, exp, mod) if bn is None else _native(*bn, base, exp, mod)
+
+
+class _Scratch:
+    """A thread's ``BN_CTX`` and operand and result ``BIGNUM``s, freed when the thread ends."""
+
+    __slots__ = ("lib", "ctx", "a", "r")  # BN_mod_exp_mont's names: operand a, result r
+
+    def __init__(self, lib):
+        self.lib, self.ctx, self.a, self.r = lib, lib.BN_CTX_new(), lib.BN_new(), lib.BN_new()
+        if not (self.ctx and self.a and self.r):
+            raise OSError("BN_CTX_new or BN_new failed")  # __del__ frees the rest
+
+    def __del__(self):
+        self.lib.BN_clear_free(self.a)
+        self.lib.BN_clear_free(self.r)
+        self.lib.BN_CTX_free(self.ctx)
 
 
 class _Mont:
-    """:func:`modexp` for one modulus a key owns, keeping the ``BIGNUM`` and
-    ``BN_MONT_CTX`` that ``BN_mod_exp`` remakes per call: made at the first native
-    power, shared read-only by threads, freed with this object, not copied."""
+    """x -> x^exp mod mod for a key's modulus and exponent. If :func:`_goes_native`, in
+    OpenSSL, keeping both as ``BIGNUM``s with a ``BN_MONT_CTX``, made at the first power,
+    shared read-only by threads, freed with this object, each thread with its own scratch."""
 
-    __slots__ = ("mod", "_from", "_made")
+    __slots__ = ("mod", "exp", "_native", "_size", "_made")
     _building = threading.Lock()
+    _thread = threading.local()
 
-    def __init__(self, mod: int):
-        self.mod, self._made = mod, None
+    def __init__(self, mod: int, exp: int):
+        self.mod, self.exp, self._size, self._made = mod, exp, (mod.bit_length() + 7) // 8, None
         # Montgomery form needs an odd modulus: an even one stays on pow
-        self._from = _native_from(mod.bit_length()) if mod % 2 else math.inf
+        self._native = mod % 2 == 1 and _goes_native(mod.bit_length(), exp.bit_length())
 
     def __reduce__(self):
-        return _Mont, (self.mod,)
+        return _Mont, (self.mod, self.exp)
 
-    def pow(self, base: int, exp: int) -> int:
-        if exp.bit_length() < self._from or (bn := _bn()) is None:
-            return pow(base, exp, self.mod)
+    def pow(self, base: int) -> int:
+        if not self._native or (bn := _bn()) is None:
+            return pow(base, self.exp, self.mod)
+        lib, buffer = bn
+        if (s := getattr(self._thread, "scratch", None)) is None:
+            s = self._thread.scratch = _Scratch(lib)
         if self._made is None:
-            self._build(bn[0])
-        return _native(*bn, base, exp, self.mod, self._made[1:])
+            self._build(lib, s.ctx)
+        _, mod, exp, mont = self._made
+        raw, out = (base % self.mod).to_bytes(self._size, "big"), buffer(self._size)
+        if not lib.BN_bin2bn(raw, self._size, s.a):
+            raise OSError("BN_bin2bn failed")
+        if lib.BN_mod_exp_mont(s.r, s.a, exp, mod, s.ctx, mont) != 1:
+            raise OSError(f"BN_mod_exp_mont failed for a {self.mod.bit_length()}-bit modulus")
+        if lib.BN_bn2binpad(s.r, out, self._size) != self._size:
+            raise OSError("BN_bn2binpad failed")
+        return int.from_bytes(out.raw, "big")
 
-    def _build(self, lib) -> None:
+    def _build(self, lib, ctx) -> None:
         with self._building:
             if self._made is not None:  # another thread made them
                 return
-            num, mont, ctx = _bignum(lib, self.mod), lib.BN_MONT_CTX_new(), lib.BN_CTX_new()
-            ok = num and mont and ctx and lib.BN_MONT_CTX_set(mont, num, ctx)
-            lib.BN_CTX_free(ctx)
-            if ok != 1:
-                lib.BN_MONT_CTX_free(mont)
-                lib.BN_clear_free(num)
+            made = (lib, _bignum(lib, self.mod), _bignum(lib, self.exp), lib.BN_MONT_CTX_new())
+            if not all(made) or lib.BN_MONT_CTX_set(made[3], made[1], ctx) != 1:
+                self._free(*made)
                 raise OSError(f"BN_MONT_CTX_set failed for a {self.mod.bit_length()}-bit modulus")
-            self._made = (lib, num, mont)
+            self._made = made
+
+    @staticmethod
+    def _free(lib, mod, exp, mont) -> None:
+        lib.BN_MONT_CTX_free(mont)
+        lib.BN_clear_free(exp)
+        lib.BN_clear_free(mod)
 
     def __del__(self):
         if self._made is not None:
-            lib, num, mont = self._made
-            lib.BN_MONT_CTX_free(mont)
-            lib.BN_clear_free(num)
+            self._free(*self._made)
 
 
 # --- key generation ----------------------------------------------------------
@@ -254,12 +281,12 @@ def _is_probable_prime(x: int, rng: random.Random) -> bool:
         # stream as one that Miller-Rabin rejects, and keys do not change
         if math.gcd(x, _SCREEN) != 1:
             return False
-    mont = _Mont(x)
+    mont = _Mont(x, d)
     for a in bases:
         a %= x
         if a in (0, 1, x - 1):
             continue
-        y = mont.pow(a, d)
+        y = mont.pow(a)
         if y in (1, x - 1):
             continue
         for _ in range(s - 1):
@@ -343,9 +370,8 @@ def factor_modulus(n: int, e: int, d: int) -> tuple[int, int]:
 def keygen(bits: int, seed: int | random.Random) -> KeyPair:
     """Deterministic RSA key generation; ``bits`` is the modulus size.
 
-    The key depends on ``seed`` alone. Each Miller-Rabin witness power goes
-    through :func:`modexp`, so primes of NATIVE_BITS or more are tested in
-    OpenSSL.
+    The key depends on ``seed`` alone. The Miller-Rabin witness powers on
+    candidates of NATIVE_BITS or more run in OpenSSL.
     """
     if bits < 16:
         raise ValueError(f"key size too small: {bits} bits (minimum 16)")
@@ -433,12 +459,11 @@ def crt_pow(x: int, key: KeyPair) -> int:
 
     Equal to ``pow(x, key.d, key.n)`` for every x >= 0 (p and q prime, as
     keygen and factor_modulus give them), at about a third of its cost.
-    Both half-size powers go through :func:`modexp`, so signing and
-    unsealing run in OpenSSL once the primes reach NATIVE_BITS.
+    Both half-size powers run in OpenSSL once the primes reach NATIVE_BITS.
     """
-    dp, dq, q_inv, mont_p, mont_q = key._crt
-    mp = mont_p.pow(x, dp)
-    mq = mont_q.pow(x, dq)
+    q_inv, mont_p, mont_q = key._crt
+    mp = mont_p.pow(x)
+    mq = mont_q.pow(x)
     return mq + (mp - mq) * q_inv % key.p * key.q
 
 

@@ -14,7 +14,9 @@ import importlib.util
 import math
 import os
 import random
+import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
@@ -203,10 +205,11 @@ def _modexp_case(draw, bits):
 
 class TestModexp:
     @pytest.mark.parametrize("native", [True, False], ids=["openssl", "pow"])
-    # each threshold and the size below it, and fixed sizes around them
+    # each threshold and the size below it, fixed sizes around them, and the
+    # earlier thresholds (80 and 384, 600 before those) with the size below
     @pytest.mark.parametrize("bits", sorted({
-        2, 17, blindsig.NATIVE_BITS - 1, blindsig.NATIVE_BITS, 256, 599, 600, 1024,
-        blindsig.SHORT_EXP_BITS - 1, blindsig.SHORT_EXP_BITS, 2048,
+        2, 17, blindsig.NATIVE_BITS - 1, blindsig.NATIVE_BITS, 79, 80, 256, 383, 384, 599, 600,
+        1024, blindsig.SHORT_EXP_BITS - 1, blindsig.SHORT_EXP_BITS, 2048,
     }))
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -238,15 +241,19 @@ class TestModexp:
         monkeypatch.setattr(blindsig, "_bn", lambda: (counting, buffer))
         below, at = (1 << (blindsig.NATIVE_BITS - 2)) + 1, (1 << (blindsig.NATIVE_BITS - 1)) + 1
         assert modexp(3, below - 2, below) == pow(3, below - 2, below)
-        assert blindsig._Mont(below).pow(3, below - 2) == pow(3, below - 2, below)
+        assert blindsig._Mont(below, below - 2).pow(3) == pow(3, below - 2, below)
         assert counting.calls == []
         assert modexp(3, at - 2, at) == pow(3, at - 2, at)
         assert counting.calls.count("BN_mod_exp") == 1
-        kept = blindsig._Mont(at)
-        assert [kept.pow(3, at - 2), kept.pow(5, at - 2)] == [pow(b, at - 2, at) for b in (3, 5)]
-        assert counting.calls.count("BN_mod_exp_mont") == 2
+        kept = blindsig._Mont(at, at - 2)
+        assert kept.pow(3) == pow(3, at - 2, at)
+        assert counting.calls.count("BN_mod_exp_mont") == 1
         assert counting.calls.count("BN_MONT_CTX_set") == 1
         assert counting.calls.count("BN_mod_exp") == 1
+        # a kept power is three foreign calls: read the base, power, read out
+        del counting.calls[:]
+        assert kept.pow(5) == pow(5, at - 2, at)
+        assert counting.calls == ["BN_bin2bn", "BN_mod_exp_mont", "BN_bn2binpad"]
 
     @pytest.mark.parametrize("bits, native", [(2048, 1), (1024, 1), (512, 1), (None, 0)])
     def test_each_public_power_is_one_modexp(self, monkeypatch, bits, native):
@@ -282,39 +289,60 @@ class TestModexp:
         assert calls(seal_ballot, b"ALPHA", key.public, 2)[1] == native
         assert calls(_open_entry, sealed, key, x) == ((b"ALPHA", x), native)
         assert "BN_mod_exp" not in counting.calls
-        # only the contract's fresh key built a context here: the others were
-        # built before counting began
-        assert counting.calls.count("BN_MONT_CTX_set") == native
+        # only the contract's fresh key built a context here (its modulus and
+        # exponent read in): the others were built before counting began, as
+        # was this thread's scratch; every power is three foreign calls
+        n_powers = counting.calls.count("BN_mod_exp_mont")
+        assert Counter(counting.calls) == Counter({
+            "BN_bin2bn": n_powers + 2 * native, "BN_mod_exp_mont": n_powers,
+            "BN_bn2binpad": n_powers, "BN_MONT_CTX_new": native, "BN_MONT_CTX_set": native,
+        })
 
     def test_a_failed_call_raises_and_frees(self, monkeypatch):
         lib, buffer = _openssl()
-        mod = 2**255 + 19
-        kept = blindsig._Mont(mod)
-        assert kept.pow(3, mod - 2) == pow(3, mod - 2, mod)
+        mod, exp = 2**255 + 19, 2**255 + 7
+        kept = blindsig._Mont(mod, exp)
+        assert kept.pow(3) == pow(3, exp, mod)
         failing = _Counting(lib, BN_mod_exp=lambda *args: 0, BN_mod_exp_mont=lambda *args: 0)
         monkeypatch.setattr(blindsig, "_bn", lambda: (failing, buffer))
         with pytest.raises(OSError, match="BN_mod_exp failed for a 256-bit modulus"):
-            modexp(5, 2**255 + 7, mod)
+            modexp(5, exp, mod)
         # the result and three operands, then the context
         assert failing.calls[-5:] == ["BN_clear_free"] * 4 + ["BN_CTX_free"]
+        del failing.calls[:]
         with pytest.raises(OSError, match="BN_mod_exp_mont failed for a 256-bit modulus"):
-            kept.pow(5, 2**255 + 7)
-        # the result and two operands, then the context; the kept pair stays
-        assert failing.calls[-4:] == ["BN_clear_free"] * 3 + ["BN_CTX_free"]
-        assert "BN_MONT_CTX_free" not in failing.calls
+            kept.pow(5)
+        # nothing freed: the kept modulus, exponent and context and the
+        # thread's scratch all stay, and serve the thread's next power
+        assert failing.calls == ["BN_bin2bn", "BN_mod_exp_mont"]
+        monkeypatch.setattr(blindsig, "_bn", lambda: (lib, buffer))
+        assert kept.pow(5) == pow(5, exp, mod)
+        failing = _Counting(lib, BN_bin2bn=lambda *args: None)
+        monkeypatch.setattr(blindsig, "_bn", lambda: (failing, buffer))
+        with pytest.raises(OSError, match="BN_bin2bn failed"):
+            kept.pow(7)
+        assert failing.calls == ["BN_bin2bn"]
+        monkeypatch.setattr(blindsig, "_bn", lambda: (lib, buffer))
+        assert kept.pow(7) == pow(7, exp, mod)
 
     def test_a_failed_context_set_up_raises_and_frees(self, monkeypatch):
         lib, buffer = _openssl()
+        mod, exp = 2**255 + 19, 2**255 + 7
+        assert blindsig._Mont(mod, exp).pow(3) == pow(3, exp, mod)  # this thread's scratch
         failing = _Counting(lib, BN_MONT_CTX_set=lambda *args: 0)
         monkeypatch.setattr(blindsig, "_bn", lambda: (failing, buffer))
-        kept = blindsig._Mont(2**255 + 19)
+        kept = blindsig._Mont(mod, exp)
         with pytest.raises(OSError, match="BN_MONT_CTX_set failed for a 256-bit modulus"):
-            kept.pow(5, 2**255 + 7)
-        assert failing.calls[-4:] == [
-            "BN_MONT_CTX_set", "BN_CTX_free", "BN_MONT_CTX_free", "BN_clear_free"
+            kept.pow(5)
+        # the context, exponent and modulus made for it are freed; the
+        # thread's scratch, whose BN_CTX the set-up used, stays
+        assert failing.calls == [
+            "BN_bin2bn", "BN_bin2bn", "BN_MONT_CTX_new", "BN_MONT_CTX_set",
+            "BN_MONT_CTX_free", "BN_clear_free", "BN_clear_free",
         ]
+        assert kept._made is None
         monkeypatch.setattr(blindsig, "_bn", lambda: (lib, buffer))
-        assert kept.pow(5, 2**255 + 7) == pow(5, 2**255 + 7, 2**255 + 19)
+        assert kept.pow(5) == pow(5, exp, mod)
 
     def test_keys_do_not_depend_on_openssl(self):
         _openssl()
@@ -337,24 +365,25 @@ class TestKeptContext:
         lib, buffer = _openssl()
         base, exp, mod = data.draw(_modexp_case(bits))
         mod |= 1
-        kept = blindsig._Mont(mod)
-        kept._build(lib)
-        # the native call with the kept pair whatever the sizes, then twice
-        # through the dispatch rule; the pair serves every power
-        native = blindsig._native(lib, buffer, base, exp, mod, kept._made[1:])
-        assert native == pow(base, exp, mod)
-        again, other = data.draw(_modexp_case(bits))[:2]
-        assert [kept.pow(base, exp), kept.pow(again, other)] == [
-            pow(base, exp, mod), pow(again, other, mod)
-        ]
+        again = data.draw(_modexp_case(bits))[0]
+        expected = [pow(base, exp, mod), pow(again, exp, mod)]
+        # twice through the native call whatever the sizes, then twice as
+        # the dispatch rule says; the kept power serves every base
+        forced = blindsig._Mont(mod, exp)
+        forced._native = True
+        assert [forced.pow(base), forced.pow(again)] == expected
+        assert forced._made is not None
+        kept = blindsig._Mont(mod, exp)
+        assert [kept.pow(base), kept.pow(again)] == expected
+        assert (kept._made is not None) == kept._native
 
     def test_an_even_modulus_gets_no_context(self):
         _openssl()
         mod = 2**512 + 2**300
-        kept = blindsig._Mont(mod)
         for exp in (65537, mod - 1):
-            assert kept.pow(3, exp) == pow(3, exp, mod)
-        assert kept._made is None
+            kept = blindsig._Mont(mod, exp)
+            assert kept.pow(3) == pow(3, exp, mod)
+            assert not kept._native and kept._made is None
 
     def test_keys_and_signatures_as_with_the_binding_off(self):
         _openssl()
@@ -368,12 +397,12 @@ class TestKeptContext:
 
         key = keygen(2048, 0)
         native = calls(key)
-        assert all(m._made is not None for m in (key.public._mont, *key._crt[3:]))
+        assert all(m._made is not None for m in (key.public._mont, *key._crt[1:]))
         with _no_openssl():
             off = keygen(2048, 0)
             assert off == key
             assert calls(off) == native
-        assert all(m._made is None for m in (off.public._mont, *off._crt[3:]))
+        assert all(m._made is None for m in (off.public._mont, *off._crt[1:]))
         assert native[1] != REFUSED and native[2] is True
 
     def test_built_once_freed_once_invisible(self, monkeypatch):
@@ -397,6 +426,8 @@ class TestKeptContext:
         del key
         gc.collect()
         assert counting.calls.count("BN_MONT_CTX_free") == 3
+        # each modulus and exponent, dp and dq among them, cleared as it is freed
+        assert counting.calls.count("BN_clear_free") == 3 * 2
         assert twin.public._mont._made is None  # never took a native power
 
     def test_four_threads_share_one_public_key(self, monkeypatch):
@@ -413,13 +444,100 @@ class TestKeptContext:
         start = threading.Barrier(4)
 
         def work(_):
-            start.wait()
+            start.wait(timeout=60)
             return [verify(s, d, shared) for s, d in cases]
 
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            assert list(pool.map(work, range(4))) == [expected] * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert list(pool.map(work, range(4), timeout=60)) == [expected] * 4
+        finally:
+            sys.setswitchinterval(interval)
         assert counting.calls.count("BN_MONT_CTX_set") == 1
         assert counting.calls.count("BN_mod_exp_mont") == 4 * len(cases)
+        # one scratch per thread, no BN_CTX shared: each freed as its thread ended
+        gc.collect()
+        assert counting.calls.count("BN_CTX_new") == counting.calls.count("BN_CTX_free") == 4
+        assert counting.calls.count("BN_new") == counting.calls.count("BN_clear_free") == 8
+
+    @staticmethod
+    def _in_a_thread(work):
+        """work() in a new thread, which has ended when this returns its result."""
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return pool.submit(work).result(timeout=60)
+
+    def test_a_thread_makes_one_scratch_freed_once(self, monkeypatch):
+        lib, buffer = _openssl()
+        key = keygen(512, 4)
+        key.public.power(3)  # the key's context, built before counting
+        counting = _Counting(lib)
+        monkeypatch.setattr(blindsig, "_bn", lambda: (counting, buffer))
+        xs = [random.Random(i).randrange(key.n) for i in range(10)]
+        powers = self._in_a_thread(lambda: [key.public.power(x) for x in xs])
+        assert powers == [pow(x, key.e, key.n) for x in xs]
+        gc.collect()
+        made = [c for c in counting.calls if c in ("BN_CTX_new", "BN_new")]
+        freed = [c for c in counting.calls if c in ("BN_CTX_free", "BN_clear_free")]
+        assert made == ["BN_CTX_new", "BN_new", "BN_new"]
+        assert freed == ["BN_clear_free", "BN_clear_free", "BN_CTX_free"]
+        assert counting.calls.count("BN_mod_exp_mont") == len(xs)
+        assert "BN_MONT_CTX_set" not in counting.calls and "BN_MONT_CTX_free" not in counting.calls
+
+    def test_one_scratch_serves_every_size(self, monkeypatch):
+        lib, buffer = _openssl()
+        keys = [keygen(bits, 1) for bits in (2048, 512, 256)]
+        counting = _Counting(lib)
+        monkeypatch.setattr(blindsig, "_bn", lambda: (counting, buffer))
+        xs = [0, 1, 2] + [random.Random(i).randrange(1 << 2048) for i in range(4)]
+
+        def alternate():
+            return [(key.public.power(x), crt_pow(x, key)) for x in xs for key in keys]
+
+        assert self._in_a_thread(alternate) == [
+            (pow(x, key.e, key.n), pow(x, key.d, key.n)) for x in xs for key in keys
+        ]
+        gc.collect()
+        assert counting.calls.count("BN_mod_exp_mont") == 3 * len(keys) * len(xs)
+        assert counting.calls.count("BN_CTX_new") == counting.calls.count("BN_CTX_free") == 1
+
+
+class TestShortExponents:
+    def test_e3_key_stays_on_pow_below_its_crossover(self, monkeypatch):
+        # with e = 3, pow wins up to its measured break-even near 896 bits, where
+        # its one squaring costs pow what 65537's 16 do at SHORT_EXP_BITS
+        lib, buffer = _openssl()
+        rng = random.Random(3)
+
+        def prime(bits):  # p = 2 mod 3, so that 3 is prime to p - 1
+            while (p := blindsig._random_prime(bits, rng)) % 3 != 2:
+                pass
+            return p
+
+        below = keypair_from_primes(prime(446), prime(446), e=3)  # 891 or 892 bits
+        at = keypair_from_primes(prime(448), prime(449), e=3)  # 896 or 897 bits
+        assert below.n.bit_length() < 896 <= at.n.bit_length()
+        counting = _Counting(lib)
+        monkeypatch.setattr(blindsig, "_bn", lambda: (counting, buffer))
+        digest = ballot_digest(b"ALPHA", bytes(16))
+        for key, native in [(below, 0), (at, 1)]:
+            del counting.calls[:]
+            assert key.public._mont._native == bool(native)
+            signed = unblind(sign_blinded(blind(digest, 7, key.public), key), 7, key.public)
+            assert verify(signed, digest, key.public)
+            assert signed == pow(fdh(digest, key.n), key.d, key.n)
+            # blind, the fault check and verify are public powers; the two
+            # CRT halves are private powers, in OpenSSL at any of these sizes
+            assert counting.calls.count("BN_mod_exp_mont") == 2 + 3 * native
+
+    @pytest.mark.parametrize("e", [3, 5, 17, 257, 65537])
+    def test_a_short_exponent_goes_native_from_its_threshold(self, e):
+        # (bit length of e - 1) * bits^2 >= 16 * SHORT_EXP_BITS^2
+        first = math.isqrt(16 * blindsig.SHORT_EXP_BITS**2 // (e.bit_length() - 1) - 1) + 1
+        assert blindsig._goes_native(first, e.bit_length())
+        assert not blindsig._goes_native(first - 1, e.bit_length())
+        if e == 65537:
+            assert first == blindsig.SHORT_EXP_BITS
 
 
 def test_modexp_table_script_at_one_repetition():
@@ -434,7 +552,7 @@ def test_modexp_table_script_at_one_repetition():
         f"| e = 65537, µs | {sizes} bits |", f"| exponent as long as n, µs | {sizes} bits |"
     ]
     rows = [line.split(" | ") for line in lines if line.startswith("| `")]
-    names = ["| `pow`", "| `BN_mod_exp`", "| `BN_mod_exp_mont`, kept context"]
+    names = ["| `pow`", "| `BN_mod_exp`", "| `_Mont.pow`, kept context"]
     assert [row[0] for row in rows] == names * 2
     for row in rows:
         cells = [float(cell.strip(" |").replace(",", "")) for cell in row[1:]]

@@ -513,6 +513,9 @@ class TestUnsealAll:
             out = capsys.readouterr()
             assert "DIVERGENCE" not in out.out
             assert f"{name} failed for a 1024-bit modulus" in out.err
+        # the failures freed nothing kept: this thread's next powers are right
+        monkeypatch.setattr(blindsig, "_bn", lambda: (lib, buffer))
+        assert verify_transcript(report.transcript_path, report.report_path).ok
 
     def test_a_failed_native_signature_check_in_verify_is_no_divergence(
         self, tmp_path, monkeypatch, capsys
@@ -540,6 +543,11 @@ class TestUnsealAll:
         assert len(checked) == 1  # the replay stopped at its first cast
         assert "DIVERGENCE" not in out.out
         assert "BN_mod_exp_mont failed for a 1024-bit modulus" in out.err
+        # the failed power freed nothing kept: this thread's next powers are right
+        monkeypatch.setattr(blindsig, "_bn", lambda: (lib, buffer))
+        monkeypatch.setattr(contract, "verify", blindsig.verify)
+        assert main(["verify", str(tmp_path / "transcript.log")]) == 0
+        assert "DIVERGENCE" not in capsys.readouterr().out
 
 
 def _recorded_cases(key):

@@ -139,7 +139,7 @@ def test_real_keys_byte_identical_without_openssl(name, tmp_path, monkeypatch):
 
 def test_sealed_1024_byte_identical_without_openssl(tmp_path, monkeypatch):
     # at 1024 bits the public-exponent powers (blind, the checks, the KEM wrap
-    # and the recorded-secret check) run in OpenSSL too, unlike at 512
+    # and the recorded-secret check) run in OpenSSL too, beside the private ones
     assert blindsig.SHORT_EXP_BITS <= 1024
     config = replace(ScenarioConfig.from_json_file(CONFIGS / "sealed.json"), key_bits=1024)
     native = artifact_hashes(None, config, tmp_path / "openssl")
