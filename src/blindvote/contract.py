@@ -60,6 +60,9 @@ class ElectionContract:
     # uuid -> KEM secret x that another count of this box recorded, handed in
     # by a replay of the same transcript (see count)
     recorded: dict[bytes, int] = field(default_factory=dict, compare=False, repr=False)
+    # the sealing key the live contract published, handed in likewise;
+    # publish_key takes it on the same (n, e, d) instead of factoring n again
+    recorded_key: KeyPair | None = field(default=None, compare=False, repr=False)
     # uuid -> (ballot, KEM secret x) of each entry opened under published_key,
     # None when spoiled; neither the entries nor the key ever change, so each
     # entry is opened at most once
@@ -120,7 +123,8 @@ class ElectionContract:
         deployed e, factor n, which the CRT decryption needs. For odd n
         factor_modulus checks both (2^(ed - 1) = 1 mod n), so a publish costs
         one full-size modexp; only an even n, where 2 is no unit, needs the
-        separate power. A second publication is refused.
+        separate power. A second publication is refused. After every check, a
+        ``recorded_key`` with the same (n, e, d) is taken instead of factoring.
         """
         p = self.params
         if not p.sealed:
@@ -133,7 +137,10 @@ class ElectionContract:
         if n != p.sealing_n or (n % 2 == 0 and modexp(modexp(2, e, n), d, n) != 2):
             raise KeyMismatch("private exponent does not invert the sealing key")
         try:
-            self.published_key = KeyPair(n, e, d, *factor_modulus(n, e, d))
+            key = self.recorded_key
+            if key is None or (key.n, key.e, key.d) != (n, e, d):
+                key = KeyPair(n, e, d, *factor_modulus(n, e, d))
+            self.published_key = key
         except ValueError:
             raise KeyMismatch("private exponent does not invert the sealing key") from None
 

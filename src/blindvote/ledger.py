@@ -77,18 +77,22 @@ class Ledger:
     """Ordered transaction log plus the one election contract it holds.
 
     ``contract`` and ``contract_address`` are None until the deploy, and a
-    second deploy raises Redeploy. ``secrets`` are the KEM secrets (uuid ->
-    x) that the contract starts with (:meth:`ElectionContract.count`); only
-    a replay of a run's own transcript has them.
+    second deploy raises Redeploy. Only a replay of a run's own transcript
+    has ``recorded``, the live contract: the one deployed here starts with
+    its KEM secrets (:meth:`ElectionContract.count`) and its published key
+    (:meth:`ElectionContract.publish_key`).
     """
 
-    def __init__(self, secrets: dict[bytes, int] | None = None):
+    def __init__(self, recorded: ElectionContract | None = None):
         self._log: list[Transaction] = []
         self._results: list[object] = []
         self._clock = 0
         self.contract: ElectionContract | None = None
         self.contract_address: bytes | None = None
-        self._secrets = secrets or {}
+        # what the contract deployed here takes from ``recorded``
+        self._recorded = {} if recorded is None else dict(
+            recorded=recorded.kem_secrets(), recorded_key=recorded.published_key
+        )
         self._lock = threading.Lock()
 
     @property
@@ -160,7 +164,7 @@ class Ledger:
             raise TypeError("contract creation requires a deploy payload")
         if self.contract is not None:
             raise Redeploy("the ledger already holds its election contract")
-        self.contract = ElectionContract(tx.payload, recorded=self._secrets)
+        self.contract = ElectionContract(tx.payload, **self._recorded)
         self.contract_address = derive_contract_address(tx.sender, tx.index)
         return self.contract_address
 
@@ -222,7 +226,7 @@ def import_log(text: str) -> list[Transaction]:
     return transactions
 
 
-def replay(transactions, expected_results=None, secrets=None) -> Ledger:
+def replay(transactions, expected_results=None, recorded=None) -> Ledger:
     """Re-execute an exported log on a fresh ledger.
 
     Senders are taken on faith (secrets never leave the wire format).
@@ -230,8 +234,8 @@ def replay(transactions, expected_results=None, secrets=None) -> Ledger:
     when the live run's receipt results are supplied, the first result
     mismatch is reported the same way; a second deploy diverges at its
     index. An OSError is a failure of the machine, not of the log, and
-    propagates. ``secrets`` are the live contract's recorded KEM secrets
-    (see :class:`Ledger`).
+    propagates. ``recorded`` is the live contract of a run's own transcript,
+    whose KEM secrets and published key the replay takes (see :class:`Ledger`).
     """
     transactions = list(transactions)
     if expected_results is not None and len(expected_results) != len(transactions):
@@ -239,7 +243,7 @@ def replay(transactions, expected_results=None, secrets=None) -> Ledger:
             f"log has {len(transactions)} entries, expected {len(expected_results)}",
             index=min(len(expected_results), len(transactions)),
         )
-    fresh = Ledger(secrets)
+    fresh = Ledger(recorded)
     for pos, tx in enumerate(transactions):
         if tx.index != pos:
             raise ReplayDivergence(

@@ -388,11 +388,12 @@ class Election:
         observer = create_account(self.rng)
         receipt = self.ledger.submit(observer, self.ledger.contract_address, messages.Tally())
         self.onchain_tally = receipt.result
-        # this run's own replays, here and in the verifiability row, open each
-        # sealed entry with the secret the live count recorded; ``verify`` and
-        # ``tally`` decrypt every entry, as anyone recounting a transcript has to
-        secrets = self.ledger.contract.kem_secrets()
-        self.offchain_tally = recount(replay(self.ledger.log, secrets=secrets))
+        # this run's own replays, here and in the verifiability row, take the
+        # live contract's published sealing key when their Publish carries
+        # the same (n, e, d), and open each sealed entry with the secret the
+        # live count recorded; ``verify`` and ``tally`` factor n and decrypt
+        # every entry, as anyone recounting a transcript has to
+        self.offchain_tally = recount(replay(self.ledger.log, recorded=self.ledger.contract))
 
     def _scan_plaintext(self, transcript: str) -> list[str]:
         """Plaintext ballot bytes that a voter leaked into a sealed transcript.
@@ -569,12 +570,12 @@ def _robustness_row(election: Election) -> AssertionRow:
 
 
 def _verifiability_row(election: Election, transcript: str) -> AssertionRow:
-    secrets = election.ledger.contract.kem_secrets()
+    live = election.ledger.contract
     try:
-        replayed = replay(import_log(transcript), election.ledger.results, secrets)
+        replayed = replay(import_log(transcript), election.ledger.results, live)
     except (ParseError, ReplayDivergence) as exc:
         return _row("verifiability", False, f"replay failed: {exc}")
-    if replayed.contract != election.ledger.contract:
+    if replayed.contract != live:
         return _row("verifiability", False, "replayed contract state diverged")
     if election.onchain_tally is not None:
         if election.offchain_tally != election.onchain_tally:

@@ -549,11 +549,15 @@ def test_modexp_table_script_at_one_repetition():
     lines = script.table(repeat=1).splitlines()
     sizes = " | ".join(map(str, script.SIZES))
     assert [line for line in lines if sizes in line] == [
-        f"| e = 65537, µs | {sizes} bits |", f"| exponent as long as n, µs | {sizes} bits |"
+        f"| e = 65537, µs | {sizes} bits |",
+        f"| exponent as long as n, µs | {sizes} bits |",
+        f"| exponent 16 bits longer than n, µs | {sizes} bits |",
     ]
     rows = [line.split(" | ") for line in lines if line.startswith("| `")]
     names = ["| `pow`", "| `BN_mod_exp`", "| `_Mont.pow`, kept context"]
-    assert [row[0] for row in rows] == names * 2
+    word = ["| `BN_mod_exp`, base 2", "| `BN_mod_exp`, full-size base",
+            "| `_Mont.pow(2)`, throwaway context"]
+    assert [row[0] for row in rows] == names * 2 + word
     for row in rows:
         cells = [float(cell.strip(" |").replace(",", "")) for cell in row[1:]]
         assert len(cells) == len(script.SIZES) and all(c > 0 for c in cells)

@@ -412,6 +412,20 @@ def unseal_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The (n, e, d) handed to contract.factor_modulus, which still factors."""
+    calls = []
+    factor = contract.factor_modulus
+
+    def counted(n, e, d):
+        calls.append((n, e, d))
+        return factor(n, e, d)
+
+    monkeypatch.setattr(contract, "factor_modulus", counted)
+    return calls
+
+
 class _FailingModExp:
     """libcrypto whose powers fail, as on an allocation failure: the one-off
     ``BN_mod_exp`` and, unless ``kept_too`` is False, ``BN_mod_exp_mont`` on
@@ -612,6 +626,67 @@ class TestRecordedSecrets:
         c.count()
         assert list(c._opened.values()) == in_turn
         assert unseal_calls == entries[1:5]  # only the entries left are decrypted
+
+
+    @pytest.mark.parametrize("bits", [None, 512], ids=["toy", "512"])
+    def test_recorded_key_taken_only_on_the_same_n_e_d(self, factor_calls, bits):
+        key = SEALING if bits is None else keygen(bits, 3)
+        other = keypair_from_primes(61, 53, 17) if bits is None else keygen(bits, 4)
+        other_d = key.d + (key.p - 1) * (key.q - 1)  # the same key's other exponent
+        entries = _batch(key)[:4]
+        for case, recorded, d, taken in [
+            ("same", key, key.d, True),
+            ("other-exponent", key, other_d, False),
+            ("recorded-other-exponent", dataclasses.replace(key, d=other_d), key.d, False),
+            ("other-e", dataclasses.replace(key, e=key.e + 2), key.d, False),
+            ("other-key", other, key.d, False),
+            ("none", None, key.d, False),
+        ]:
+            c = make_contract(sealed=True, sealing=key)
+            c.recorded_key = recorded
+            fresh = make_contract(sealed=True, sealing=key)
+            for con in (c, fresh):
+                for i, sealed in enumerate(entries):
+                    uuid = uuid_of(i)
+                    assert con.cast(signed_ballot(sealed, uuid), sealed, uuid, clock=20)
+            fresh.publish_key(key.n, d, clock=30)
+            del factor_calls[:]
+            c.publish_key(key.n, d, clock=30)
+            assert factor_calls == ([] if taken else [(key.n, key.e, d)]), case
+            assert (c.published_key is recorded) == taken, case
+            assert c == fresh and c.count() == fresh.count(), case
+
+    def test_refusals_do_not_depend_on_a_recorded_key(self):
+        other = keypair_from_primes(61, 53, 17)  # same e as SEALING, another n
+        even = KeyPair(122, 17, 2, 61, 2)  # 2 is no unit mod 122
+        assert pow(pow(2, even.e, even.n), even.d, even.n) != 2
+        # (deployed key, the key published, clock, publish it before): each
+        # refused publication carries exactly the recorded key's (n, e, d)
+        cases = {
+            "wrong-n": (SEALING, other, 30, False),
+            "second": (SEALING, SEALING, 31, True),
+            "before-et": (SEALING, SEALING, 29, False),
+            "even-n": (even, even, 30, False),
+        }
+        expected = {
+            "wrong-n": (KeyMismatch, "does not invert"),
+            "second": (KeyMismatch, "already published"),
+            "before-et": (ElectionOpen, "vote ends at 30"),
+            "even-n": (KeyMismatch, "does not invert"),
+        }
+        for case, (deployed, published, clock, twice) in cases.items():
+            outcomes = []
+            for recorded in (None, published):
+                c = make_contract(sealed=True, sealing=deployed)
+                c.recorded_key = recorded
+                if twice:
+                    c.publish_key(published.n, published.d, clock=30)
+                before = c.published_key
+                with pytest.raises(expected[case][0], match=expected[case][1]) as exc:
+                    c.publish_key(published.n, published.d, clock=clock)
+                assert c.published_key is before, case
+                outcomes.append((type(exc.value), str(exc.value)))
+            assert outcomes[0] == outcomes[1], case
 
 
 class TestSealing:

@@ -360,6 +360,31 @@ class TestSealedRun:
             assert verify_transcript(report.transcript_path, report.report_path).ok
             assert calls == box
 
+    def test_each_sealed_run_factors_its_key_once(self, tmp_path, monkeypatch):
+        # count_stage and the grader: only the live Publish factors n, each
+        # replay takes the key it published; verify: one replay, which factors
+        calls = []
+        factor = contract.factor_modulus
+
+        def counted(n, e, d):
+            calls.append((n, e, d))
+            return factor(n, e, d)
+
+        monkeypatch.setattr(contract, "factor_modulus", counted)
+        config = ScenarioConfig.from_json_file(CONFIGS / "sealed.json")
+        for key_bits in (None, 512):
+            del calls[:]
+            election = Election(replace(config, key_bits=key_bits))
+            election.run()
+            key = election.ledger.contract.published_key
+            assert calls == [(key.n, key.e, key.d)]
+            report = election.build_report()
+            report.write(tmp_path / str(key_bits))
+            assert calls == [(key.n, key.e, key.d)]
+            del calls[:]
+            assert verify_transcript(report.transcript_path, report.report_path).ok
+            assert calls == [(key.n, key.e, key.d)]
+
     def test_transcript_carries_no_plaintext(self, small_config):
         cfg = replace(small_config, sealed=True)
         report = run_scenario(cfg)
