@@ -83,10 +83,11 @@ class KeyPair:
 #: Measured for the power a key runs (:class:`_Mont`) on a shared 2-vCPU VM
 #: (Python 3.11.7, OpenSSL 3.0.19; medians of three runs of 41 interleaved
 #: samples), ``pow`` against OpenSSL with a half-length exponent: 5.4 / 5.7
-#: us at 56 bits, 8.3 / 6.2 at 64, 9.4 / 4.5 at 72. A one-off ``BN_mod_exp``
-#: breaks even only near 76 bits (16.6 / 27.3 us at 64, 18.1 / 16.6 at 80),
-#: but the one-off powers on so small a modulus are :func:`factor_modulus`'s
-#: on keys under 80 bits, which no workload uses. Not a setting.
+#: us at 56 bits, 8.3 / 6.2 at 64, 9.4 / 4.5 at 72. A throwaway context,
+#: ``_Mont(n, s).pow(2)`` with s 16 bits longer than n, breaks even only near
+#: 72 bits (12.9 / 17.8 us at 64, 14.8 / 14.3 at 72, 16.2 / 14.4 at 80), so
+#: ``pow`` wins below that; only :func:`factor_modulus` on keys under 80 bits
+#: sets up a context there, and no workload does. Not a setting.
 NATIVE_BITS = 64
 
 #: Smallest modulus, in bits, at which e = 65537 goes to OpenSSL; a shorter
@@ -94,9 +95,8 @@ NATIVE_BITS = 64
 #: ``pow`` against OpenSSL (us): e = 65537 at 160 bits 5.0 / 4.2, 224 6.2 /
 #: 4.4; e = 3 at 832 bits 4.9 / 5.2, 896 5.6 / 5.6, 960 6.2 / 5.9. Set above
 #: e = 65537's own crossover, which lies below 160 bits, so that e = 3 goes
-#: native from 896 bits, not before its crossover. A one-off ``BN_mod_exp``,
-#: which works the context out again, costs 15-30 us, but no short power on
-#: a key's modulus is one-off. Not a setting.
+#: native from 896 bits, not before its crossover. No short power sets up a
+#: context for itself alone: each runs on its key's. Not a setting.
 SHORT_EXP_BITS = 224
 
 
@@ -119,7 +119,6 @@ def _bn():
             ("BN_new", ptr, []),
             ("BN_bin2bn", ptr, [ctypes.c_char_p, size, ptr]),
             ("BN_bn2binpad", size, [ptr, ctypes.c_char_p, size]),
-            ("BN_mod_exp", size, [ptr, ptr, ptr, ptr, ptr]),
             ("BN_clear_free", None, [ptr]),
             ("BN_MONT_CTX_new", ptr, []),
             ("BN_MONT_CTX_set", size, [ptr, ptr, ptr]),
@@ -138,38 +137,12 @@ def _bignum(lib, value: int):
     return lib.BN_bin2bn(raw, len(raw), None)
 
 
-def _native(lib, buffer, base: int, exp: int, mod: int) -> int:
-    """base^exp mod mod by one ``BN_mod_exp`` call."""
-    bits = mod.bit_length()
-    size = (bits + 7) // 8
-    ctx = lib.BN_CTX_new()  # one per call, so that threads share none
-    nums = [lib.BN_new()] + [_bignum(lib, v) for v in (base % mod, exp, mod)]
-    try:
-        if not ctx or not all(nums) or lib.BN_mod_exp(*nums, ctx) != 1:
-            raise OSError(f"BN_mod_exp failed for a {bits}-bit modulus")
-        out = buffer(size)
-        if lib.BN_bn2binpad(nums[0], out, size) != size:
-            raise OSError("BN_bn2binpad failed")
-        return int.from_bytes(out.raw, "big")
-    finally:
-        for num in nums:
-            lib.BN_clear_free(num)  # a no-op on NULL
-        lib.BN_CTX_free(ctx)
-
-
 def _goes_native(bits: int, exp_bits: int) -> bool:
     """Whether OpenSSL beats ``pow``: from NATIVE_BITS on for an exponent half as long as
     the modulus, else once its exp_bits - 1 squarings cost what 65537's do at SHORT_EXP_BITS."""
     return bits >= NATIVE_BITS and (
         2 * exp_bits >= bits or (exp_bits - 1) * bits * bits >= 16 * SHORT_EXP_BITS**2
     )
-
-
-def modexp(base: int, exp: int, mod: int) -> int:
-    """``pow(base, exp, mod)`` for exp >= 0 and mod >= 1, for one-off powers: by ``BN_mod_exp``
-    where :func:`_goes_native` says so and libcrypto loads. A failed native call raises OSError."""
-    bn = _bn() if _goes_native(mod.bit_length(), exp.bit_length()) else None
-    return pow(base, exp, mod) if bn is None else _native(*bn, base, exp, mod)
 
 
 class _Scratch:
@@ -189,7 +162,7 @@ class _Scratch:
 
 
 class _Mont:
-    """x -> x^exp mod mod for a key's modulus and exponent. If :func:`_goes_native`, in
+    """x -> x^exp mod mod for one modulus and exponent. If :func:`_goes_native`, in
     OpenSSL, keeping both as ``BIGNUM``s with a ``BN_MONT_CTX``, made at the first power,
     shared read-only by threads, freed with this object, each thread with its own scratch."""
 
@@ -339,7 +312,8 @@ def factor_modulus(n: int, e: int, d: int) -> tuple[int, int]:
     small primes, and one that shares a factor with n gives it directly.
     Raises ValueError when no base splits n, and when base 2's sequence ends
     without reaching 1: then 2^(ed - 1) != 1 mod n, so for odd n, where 2 is
-    a unit, d does not invert e on the base 2.
+    a unit, d does not invert e on the base 2. Every base is raised to k/2^t
+    on one :class:`_Mont`, so a walk sets up one Montgomery context.
     """
     k = e * d - 1
     s, t = k, 0
@@ -348,11 +322,12 @@ def factor_modulus(n: int, e: int, d: int) -> tuple[int, int]:
         t += 1
     if t == 0:  # k odd or not positive: no RSA key has these exponents
         raise ValueError("e * d - 1 must be positive and even")
+    mont = _Mont(n, s)
     for g in _SMALL_PRIMES:
         f = math.gcd(g, n)
         if 1 < f < n:
             return max(f, n // f), min(f, n // f)
-        x = modexp(g, s, n)
+        x = mont.pow(g)
         for _ in range(t):
             if x in (1, n - 1):
                 break

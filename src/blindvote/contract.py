@@ -33,7 +33,6 @@ from .blindsig import (
     ballot_digest,
     crt_pow,
     factor_modulus,
-    modexp,
     verify,
 )
 from .errors import (
@@ -122,9 +121,10 @@ class ElectionContract:
         The exponent must invert the sealing key on the base 2 and, with the
         deployed e, factor n, which the CRT decryption needs. For odd n
         factor_modulus checks both (2^(ed - 1) = 1 mod n), so a publish costs
-        one full-size modexp; only an even n, where 2 is no unit, needs the
-        separate power. A second publication is refused. After every check, a
-        ``recorded_key`` with the same (n, e, d) is taken instead of factoring.
+        one factoring walk on one Montgomery context; only an even n, where 2
+        is no unit, needs a separate check, by ``pow``. A second publication is
+        refused. After every check, a ``recorded_key`` with the same (n, e, d)
+        is taken instead of factoring. A failed native power raises OSError.
         """
         p = self.params
         if not p.sealed:
@@ -134,7 +134,7 @@ class ElectionContract:
         if self.published_key is not None:
             raise KeyMismatch("sealing key already published")
         e = p.sealing_e
-        if n != p.sealing_n or (n % 2 == 0 and modexp(modexp(2, e, n), d, n) != 2):
+        if n != p.sealing_n or (n % 2 == 0 and pow(pow(2, e, n), d, n) != 2):
             raise KeyMismatch("private exponent does not invert the sealing key")
         try:
             key = self.recorded_key

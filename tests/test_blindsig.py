@@ -42,7 +42,6 @@ from blindvote.blindsig import (
     int_to_hex,
     keygen,
     keypair_from_primes,
-    modexp,
     new_blinding_factor,
     new_uuid,
     sign_blinded,
@@ -218,7 +217,8 @@ class TestModexp:
             _openssl()
         base, exp, mod = data.draw(_modexp_case(bits))
         with nullcontext() if native else _no_openssl():
-            assert modexp(base, exp, mod) == pow(base, exp, mod)
+            # a throwaway context: one power, then collected
+            assert blindsig._Mont(mod, exp).pow(base) == pow(base, exp, mod)
 
     @pytest.mark.parametrize("native", [True, False], ids=["openssl", "pow"])
     @pytest.mark.parametrize("mod", [
@@ -233,23 +233,19 @@ class TestModexp:
         with nullcontext() if native else _no_openssl():
             for base in (0, 1, mod - 1, mod, mod + 5, 7 * mod, -3):
                 for exp in (0, 1, 2, mod - 1, mod, 3 * mod + 1):
-                    assert modexp(base, exp, mod) == pow(base, exp, mod), (base, exp)
+                    assert blindsig._Mont(mod, exp).pow(base) == pow(base, exp, mod), (base, exp)
 
     def test_openssl_from_native_bits_on(self, monkeypatch):
         lib, buffer = _openssl()
         counting = _Counting(lib)
         monkeypatch.setattr(blindsig, "_bn", lambda: (counting, buffer))
         below, at = (1 << (blindsig.NATIVE_BITS - 2)) + 1, (1 << (blindsig.NATIVE_BITS - 1)) + 1
-        assert modexp(3, below - 2, below) == pow(3, below - 2, below)
         assert blindsig._Mont(below, below - 2).pow(3) == pow(3, below - 2, below)
         assert counting.calls == []
-        assert modexp(3, at - 2, at) == pow(3, at - 2, at)
-        assert counting.calls.count("BN_mod_exp") == 1
         kept = blindsig._Mont(at, at - 2)
         assert kept.pow(3) == pow(3, at - 2, at)
         assert counting.calls.count("BN_mod_exp_mont") == 1
         assert counting.calls.count("BN_MONT_CTX_set") == 1
-        assert counting.calls.count("BN_mod_exp") == 1
         # a kept power is three foreign calls: read the base, power, read out
         del counting.calls[:]
         assert kept.pow(5) == pow(5, at - 2, at)
@@ -258,9 +254,9 @@ class TestModexp:
     @pytest.mark.parametrize("bits, native", [(2048, 1), (1024, 1), (512, 1), (None, 0)])
     def test_each_public_power_is_one_modexp(self, monkeypatch, bits, native):
         # every public-exponent power (e = 65537, or 17 on the toy key), checks
-        # included, follows modexp's rule, in OpenSSL from SHORT_EXP_BITS on;
-        # the two CRT halves of signing are private powers, in OpenSSL from 80
-        # bits; each runs on its key's kept context, none as a one-off call
+        # included, follows _goes_native's rule, in OpenSSL from SHORT_EXP_BITS
+        # on; the two CRT halves of signing are private powers, in OpenSSL from
+        # NATIVE_BITS; each runs on its key's kept context, none on a throwaway one
         lib, buffer = _openssl()
         key = TOY if bits is None else keygen(bits, 0)
         crt_native = 0 if bits is None else 2
@@ -272,7 +268,7 @@ class TestModexp:
         monkeypatch.setattr(blindsig, "_bn", lambda: (counting, buffer))
 
         def powers():
-            return sum(counting.calls.count(name) for name in ("BN_mod_exp", "BN_mod_exp_mont"))
+            return counting.calls.count("BN_mod_exp_mont")
 
         def calls(fn, *args):
             before = powers()
@@ -288,7 +284,6 @@ class TestModexp:
         assert calls(c.cast, signed, b"ALPHA", bytes(16), 20) == (True, native)
         assert calls(seal_ballot, b"ALPHA", key.public, 2)[1] == native
         assert calls(_open_entry, sealed, key, x) == ((b"ALPHA", x), native)
-        assert "BN_mod_exp" not in counting.calls
         # only the contract's fresh key built a context here (its modulus and
         # exponent read in): the others were built before counting began, as
         # was this thread's scratch; every power is three foreign calls
@@ -303,12 +298,17 @@ class TestModexp:
         mod, exp = 2**255 + 19, 2**255 + 7
         kept = blindsig._Mont(mod, exp)
         assert kept.pow(3) == pow(3, exp, mod)
-        failing = _Counting(lib, BN_mod_exp=lambda *args: 0, BN_mod_exp_mont=lambda *args: 0)
+        failing = _Counting(lib, BN_mod_exp_mont=lambda *args: 0)
         monkeypatch.setattr(blindsig, "_bn", lambda: (failing, buffer))
-        with pytest.raises(OSError, match="BN_mod_exp failed for a 256-bit modulus"):
-            modexp(5, exp, mod)
-        # the result and three operands, then the context
-        assert failing.calls[-5:] == ["BN_clear_free"] * 4 + ["BN_CTX_free"]
+        with pytest.raises(OSError, match="BN_mod_exp_mont failed for a 256-bit modulus"):
+            blindsig._Mont(mod, exp).pow(5)
+        gc.collect()
+        # a throwaway context: its modulus, exponent and context are made for
+        # the power and freed once it is collected; the thread's scratch stays
+        assert failing.calls == [
+            "BN_bin2bn", "BN_bin2bn", "BN_MONT_CTX_new", "BN_MONT_CTX_set",
+            "BN_bin2bn", "BN_mod_exp_mont", "BN_MONT_CTX_free", "BN_clear_free", "BN_clear_free",
+        ]
         del failing.calls[:]
         with pytest.raises(OSError, match="BN_mod_exp_mont failed for a 256-bit modulus"):
             kept.pow(5)
@@ -353,7 +353,7 @@ class TestModexp:
 
 
 def _no_openssl():
-    """Makes modexp fall back to pow, as where libcrypto cannot be loaded."""
+    """Makes every power fall back to pow, as where libcrypto cannot be loaded."""
     return mock.patch.object(blindsig, "_bn", lambda: None)
 
 
@@ -551,13 +551,10 @@ def test_modexp_table_script_at_one_repetition():
     assert [line for line in lines if sizes in line] == [
         f"| e = 65537, µs | {sizes} bits |",
         f"| exponent as long as n, µs | {sizes} bits |",
-        f"| exponent 16 bits longer than n, µs | {sizes} bits |",
     ]
     rows = [line.split(" | ") for line in lines if line.startswith("| `")]
-    names = ["| `pow`", "| `BN_mod_exp`", "| `_Mont.pow`, kept context"]
-    word = ["| `BN_mod_exp`, base 2", "| `BN_mod_exp`, full-size base",
-            "| `_Mont.pow(2)`, throwaway context"]
-    assert [row[0] for row in rows] == names * 2 + word
+    names = ["| `pow`", "| `_Mont.pow`, throwaway context", "| `_Mont.pow`, kept context"]
+    assert [row[0] for row in rows] == names * 2
     for row in rows:
         cells = [float(cell.strip(" |").replace(",", "")) for cell in row[1:]]
         assert len(cells) == len(script.SIZES) and all(c > 0 for c in cells)
@@ -598,6 +595,27 @@ class TestCRT:
             for seed in range(200):
                 kp = keygen(bits, seed)
                 assert factor_modulus(kp.n, kp.e, kp.d) == (kp.p, kp.q), (bits, seed)
+
+    @pytest.mark.parametrize("bits, seeds", [(24, 50), (64, 50), (512, 5), (2048, 1)])
+    def test_factor_as_with_the_binding_off(self, bits, seeds):
+        _openssl()
+        for seed in range(seeds):
+            kp = keygen(bits, seed)
+            with _no_openssl():
+                expected = factor_modulus(kp.n, kp.e, kp.d)
+            assert factor_modulus(kp.n, kp.e, kp.d) == expected == (kp.p, kp.q), seed
+
+    def test_one_context_for_a_walk_of_many_bases(self, monkeypatch):
+        # keygen(512, 10)'s walk raises ten bases before one splits n
+        lib, buffer = _openssl()
+        kp = keygen(512, 10)
+        counting = _Counting(lib)
+        monkeypatch.setattr(blindsig, "_bn", lambda: (counting, buffer))
+        assert factor_modulus(kp.n, kp.e, kp.d) == (kp.p, kp.q)
+        gc.collect()
+        assert counting.calls.count("BN_mod_exp_mont") == 10
+        assert counting.calls.count("BN_MONT_CTX_set") == 1
+        assert counting.calls.count("BN_MONT_CTX_free") == 1
 
     @pytest.mark.parametrize("d_offset", [0, 1, 2])
     def test_factor_rejects_a_wrong_exponent(self, d_offset):

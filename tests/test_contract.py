@@ -427,17 +427,15 @@ def factor_calls(monkeypatch):
 
 
 class _FailingModExp:
-    """libcrypto whose powers fail, as on an allocation failure: the one-off
-    ``BN_mod_exp`` and, unless ``kept_too`` is False, ``BN_mod_exp_mont`` on
-    a kept Montgomery context."""
+    """libcrypto whose powers fail, as on an allocation failure: every
+    ``BN_mod_exp_mont``, on a key's kept Montgomery context or a factoring
+    walk's."""
 
-    def __init__(self, lib, kept_too=True):
-        self._lib, self._failing = lib, {"BN_mod_exp", "BN_mod_exp_mont"}
-        if not kept_too:
-            self._failing.remove("BN_mod_exp_mont")
+    def __init__(self, lib):
+        self._lib = lib
 
     def __getattr__(self, name):
-        return (lambda *args: 0) if name in self._failing else getattr(self._lib, name)
+        return (lambda *args: 0) if name == "BN_mod_exp_mont" else getattr(self._lib, name)
 
 
 class TestUnsealAll:
@@ -517,19 +515,50 @@ class TestUnsealAll:
         report.write(tmp_path)
 
         lib, buffer = blindsig._bn()
-        # every power but Publish's factoring walk runs on a kept context
-        for kept_too, name in [(False, "BN_mod_exp"), (True, "BN_mod_exp_mont")]:
-            failing = _FailingModExp(lib, kept_too)
-            monkeypatch.setattr(blindsig, "_bn", lambda: (failing, buffer))
-            with pytest.raises(OSError, match=f"{name} failed for a 1024-bit modulus"):
+        factor, walks = contract.factor_modulus, []
+
+        def failing_walk(n, e, d):
+            walks.append(n)
+            monkeypatch.setattr(blindsig, "_bn", lambda: (_FailingModExp(lib), buffer))
+            return factor(n, e, d)
+
+        def from_the_walk():  # Publish's factoring walk is the first power to fail
+            monkeypatch.setattr(blindsig, "_bn", lambda: (lib, buffer))
+            monkeypatch.setattr(contract, "factor_modulus", failing_walk)
+
+        def from_the_start():  # every power fails, the first cast's check first
+            monkeypatch.setattr(contract, "factor_modulus", factor)
+            monkeypatch.setattr(blindsig, "_bn", lambda: (_FailingModExp(lib), buffer))
+
+        for fail in (from_the_walk, from_the_start):
+            fail()
+            with pytest.raises(OSError, match="BN_mod_exp_mont failed for a 1024-bit modulus"):
                 verify_transcript(report.transcript_path, report.report_path)
+            fail()
             assert main(["verify", report.transcript_path]) == 2
             out = capsys.readouterr()
             assert "DIVERGENCE" not in out.out
-            assert f"{name} failed for a 1024-bit modulus" in out.err
+            assert "BN_mod_exp_mont failed for a 1024-bit modulus" in out.err
+        assert walks == [election.sealing_key.n] * 2
         # the failures freed nothing kept: this thread's next powers are right
+        monkeypatch.setattr(contract, "factor_modulus", factor)
         monkeypatch.setattr(blindsig, "_bn", lambda: (lib, buffer))
         assert verify_transcript(report.transcript_path, report.report_path).ok
+
+    def test_a_failed_power_in_publish_is_no_key_mismatch(self, monkeypatch):
+        # a failure of the machine, not of the key: publish_key lets it through
+        if blindsig._bn() is None:
+            pytest.skip("libcrypto cannot be loaded here")
+        key = keygen(512, 0)
+        c = make_contract(sealed=True, sealing=key)
+        lib, buffer = blindsig._bn()
+        monkeypatch.setattr(blindsig, "_bn", lambda: (_FailingModExp(lib), buffer))
+        with pytest.raises(OSError, match="BN_mod_exp_mont failed for a 512-bit modulus"):
+            c.publish_key(key.n, key.d, clock=30)
+        assert c.published_key is None
+        monkeypatch.setattr(blindsig, "_bn", lambda: (lib, buffer))
+        c.publish_key(key.n, key.d, clock=30)
+        assert c.published_key == key
 
     def test_a_failed_native_signature_check_in_verify_is_no_divergence(
         self, tmp_path, monkeypatch, capsys

@@ -8,8 +8,8 @@ random configs mixing honest, careless and unlisted voters, sealed and
 unsealed, toy keys plus one 128-bit key. Two more cases run shipped configs
 with real keys whose primes exceed 80 bits, so key generation draws its
 random Miller-Rabin bases: configs/sealed.json at 512 bits (both keys) and
-configs/adversarial.json at 256 bits. Those two also run with
-``blindsig.modexp`` on ``pow`` alone, as where libcrypto cannot be loaded,
+configs/adversarial.json at 256 bits. Those two also run with every
+modular power on ``pow`` alone, as where libcrypto cannot be loaded,
 and so does configs/sealed.json at 1024 bits, checked against itself.
 """
 

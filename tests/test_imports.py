@@ -2,7 +2,7 @@
 pickling, subprocess or ctypes module, and the package never forks.
 
 Each unwanted module would add import time and resident memory to every run, also
-to toy-key runs that never reach ``blindsig.modexp``'s OpenSSL binding,
+to toy-key runs that never reach ``blindsig._bn``, the OpenSSL binding,
 which loads ctypes on its first call. Key generation and sealed-ballot
 decryption run in one process, so that no timing depends on a free
 second CPU.
