@@ -472,23 +472,12 @@ def verify(signed: int, digest: bytes, key: PublicKey) -> bool:
 
 
 # --- serialization --------------------------------------------------------------
-# Integers travel as lowercase big-endian hex without leading zeros; byte
-# strings as plain hex.
+# Integers travel as lowercase big-endian hex without leading zeros;
+# ``messages.INT`` holds the pattern that reads them back.
 
 def int_to_hex(value: int) -> str:
     if value < 0:
         raise ValueError("negative integers do not serialize")
     return format(value, "x")
 
-
-def hex_to_int(text: str) -> int:
-    """Parse an integer in exactly the form int_to_hex writes.
-
-    That is ``0|[1-9a-f][0-9a-f]*``: no sign, ``0x``, ``_``, whitespace,
-    upper case or leading zero.
-    """
-    value = int(text, 16)
-    if value < 0 or format(value, "x") != text:
-        raise ValueError(f"not a canonical hex integer: {text!r}")
-    return value
 

@@ -13,8 +13,8 @@ Wire format, one transaction per line:
     index timestamp sender_hex recipient_hex|create kind field...
 
 index and timestamp are decimal without sign or leading zero; addresses
-are 40 lowercase hex chars; payload fields follow the codecs in
-``messages``. Every line ends in ``\n`` and fields are separated by one
+are 40 lowercase hex chars; ``messages`` holds the payload codecs and the
+line grammar. Every line ends in ``\n`` and fields are separated by one
 space. Only that form parses, so each log has exactly one transcript.
 """
 
@@ -183,47 +183,36 @@ def export_log(transactions) -> str:
     return "".join(lines)
 
 
-def _decimal(field: str) -> int:
-    """Parse a non-negative integer in exactly the form ``str`` writes."""
-    value = int(field)
-    if value < 0 or str(value) != field:
-        raise ValueError(f"not a canonical decimal: {field!r}")
-    return value
-
-
-def _address(field: str) -> bytes:
-    address = messages.hex_to_bytes(field)
-    if len(address) != ADDRESS_LEN:
-        raise ValueError(f"address is not {ADDRESS_LEN} bytes: {field!r}")
-    return address
-
-
 def import_log(text: str) -> list[Transaction]:
     """Parse a transcript that is exactly as :func:`export_log` writes it.
 
-    Each field is checked as it is read, so ``export_log`` of the result
-    gives back ``text``. The first bad line raises ParseError with its
-    index; a last line without its ``\n`` is a bad line.
+    Each line must match the line grammar of ``messages``, so ``export_log``
+    of the result gives back ``text``. The first line that does not raises
+    ParseError with its index, naming its first bad field; a last line
+    without its ``\n`` is a bad line.
     """
-    *lines, rest = text.split("\n")
-    transactions = []
-    for pos, line in enumerate(lines):
-        try:
-            index, timestamp, sender, recipient, kind, *fields = line.split(" ")
-            transactions.append(
-                Transaction(
-                    _decimal(index),
-                    _decimal(timestamp),
-                    _address(sender),
-                    None if recipient == "create" else _address(recipient),
-                    messages.decode_payload(kind, fields),
-                )
-            )
-        except (ParseError, ValueError) as exc:
-            raise ParseError(f"line {pos + 1}: {exc}", index=pos) from exc
-    if rest:
-        raise ParseError(f"line {len(lines) + 1}: no final newline", index=len(lines))
-    return transactions
+    match, convert = messages.grammar(Transaction)
+    transactions, end = [], 0
+    try:
+        # one match per line, at its start: a search would rescan a bad
+        # line from each of its characters, quadratic in its length
+        while line := match(text, end):
+            transactions.append(convert[line.lastindex](line))
+            end = line.end()
+        if end == len(text):
+            return transactions
+        # the grammar stops at this line: name its first bad field
+        stop = text.find("\n", end)
+        if stop < 0:
+            raise ParseError("no final newline")
+        index, timestamp, sender, recipient, kind, *fields = text[end:stop].split(" ")
+        messages.check(messages.ENVELOPE, (index, timestamp, sender, recipient))
+        messages.decode_payload(kind, fields)
+        # not reached while the field checks state the grammar's language
+        raise ParseError("not a transaction")
+    except (ParseError, ValueError) as exc:
+        pos = len(transactions)
+        raise ParseError(f"line {pos + 1}: {exc}", index=pos) from exc
 
 
 def replay(transactions, expected_results=None, recorded=None) -> Ledger:

@@ -2,58 +2,47 @@
 
 Each payload kind serializes to a fixed-order list of space-free string
 fields. Every class declares its fields' codecs in ``wire``, one
-(encode, decode) pair per dataclass field, in field order; an optional
-field holding ``None`` is left off the end of the line. Integers use the
-strict lowercase-hex convention from ``blindsig``; byte strings use plain
-hex with ``-`` standing for the empty string so fields never vanish from
-a line.
+(encode, fragment, decode) per dataclass field, in field order: the
+fragment is the field's one canonical form as a regular expression in
+ASCII classes, and decode an expression that reads a field ``{0}`` of that
+form. An optional field holding ``None`` is left off the end of the line.
+Integers use the strict lowercase-hex convention from ``blindsig``; byte
+strings use plain hex with ``-`` standing for the empty string so fields
+never vanish from a line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
-from .blindsig import PublicKey, hex_to_int, int_to_hex
+from .blindsig import PublicKey, int_to_hex
 from .errors import ParseError
-
-
-def hex_to_bytes(field: str) -> bytes:
-    """Parse bytes in exactly the form ``bytes.hex`` writes: lowercase hex
-    digits in pairs, without whitespace."""
-    data = bytes.fromhex(field)
-    if data.hex() != field:
-        raise ValueError(f"not canonical hex: {field!r}")
-    return data
 
 
 def bytes_to_field(data: bytes) -> str:
     return data.hex() if data else "-"
 
 
-def field_to_bytes(field: str) -> bytes:
-    if field == "-":
-        return b""
-    if not field:
-        raise ValueError("empty bytes are written as '-'")
-    return hex_to_bytes(field)
-
-
-def _field_to_flag(field: str) -> bool:
-    if field not in ("0", "1"):
-        raise ValueError(f"flag must be 0 or 1, got {field!r}")
-    return field == "1"
-
-
-INT = (int_to_hex, hex_to_int)
+INT = (int_to_hex, "0|[1-9a-f][0-9a-f]*", "int({0}, 16)")
 #: an integer that may be absent (None) at the end of a line
 OPTIONAL_INT = (
-    lambda value: None if value is None else int_to_hex(value),
-    lambda field: None if field is None else hex_to_int(field),
+    lambda value: None if value is None else int_to_hex(value), INT[1],
+    "None if {0} is None else int({0}, 16)",
 )
-BYTES = (bytes_to_field, field_to_bytes)
-HEX = (bytes.hex, hex_to_bytes)
-FLAG = (lambda flag: "1" if flag else "0", _field_to_flag)
+#: an even number of hex digits, (?:[0-9a-f][0-9a-f])* taken 32 at a time:
+#: the regex engine pays a step per repeat, so a long ballot matches 3x faster
+EVEN_HEX = "(?:[0-9a-f]{32})*(?:[0-9a-f][0-9a-f]){0,15}"
+BYTES = (bytes_to_field, f"-|[0-9a-f][0-9a-f]{EVEN_HEX}", "b'' if {0} == '-' else fromhex({0})")
+HEX = (bytes.hex, EVEN_HEX, "fromhex({0})")
+FLAG = (lambda flag: "1" if flag else "0", "[01]", "{0} == '1'")
+
+#: (name, fragment) of each field ahead of a line's kind, as ``ledger`` writes it
+ENVELOPE = (
+    ("index", "0|[1-9][0-9]*"), ("timestamp", "0|[1-9][0-9]*"),
+    ("sender", "[0-9a-f]{40}"), ("recipient", "[0-9a-f]{40}|create"),
+)
 
 
 @dataclass(frozen=True)
@@ -154,35 +143,73 @@ Payload = Deploy | Check | Cast | Publish | Tally | SignRequest | SignResponse
 
 
 def _compile(cls):
-    """Write out the encoder and the decoder of cls from its wire table.
+    """Write out the encoder and the decoder of cls from its wire table, and
+    the kind's pattern, whose groups are the decoder's fields f0, f1, ...
 
     The generated functions make one direct call per field, as a method
     written by hand for each class would. Looping over the table at run
     time instead made ``verify`` of a 3,200-voter toy transcript about a
-    fifth slower (CPython 3.11). A field left off the end of a line
-    reaches its decoder as None, which only an optional codec accepts.
+    fifth slower (CPython 3.11). An optional field opens a group that
+    closes at the end of the line, so only the last fields may be absent.
     """
-    env = {"cls": cls}
-    encoded, params, decoded = [repr(cls.kind)], [], []
+    env = {cls.__name__: cls, "fromhex": bytes.fromhex}
+    encoded, params, decoded, pattern = [repr(cls.kind)], [], [], cls.kind
     fields = zip(cls.__dataclass_fields__, cls.wire, strict=True)
-    for i, (name, (encode, decode)) in enumerate(fields):
-        env[f"e{i}"], env[f"d{i}"] = encode, decode
+    for i, (name, (encode, fragment, decode)) in enumerate(fields):
+        optional = encode is OPTIONAL_INT[0]
+        env[f"e{i}"] = encode
         encoded.append(f"e{i}(p.{name})")
-        params.append(f"f{i}=None")
-        decoded.append(f"d{i}(f{i})")
+        params.append(f"f{i}=None" if optional else f"f{i}")
+        decoded.append(decode.format(f"f{i}"))
+        pattern += f"(?: ({fragment})" if optional else f" ({fragment})"
+    payload = f"{cls.__name__}({', '.join(decoded)})"
     exec(
         f"def encode(p): return [{', '.join(encoded)}]\n"
-        f"def decode({', '.join(params)}): return cls({', '.join(decoded)})\n",
+        f"def decode({', '.join(params)}): return {payload}\n",
         env,
     )
-    return env["encode"], env["decode"]
+    return env["encode"], env["decode"], pattern + ")?" * cls.wire.count(OPTIONAL_INT), payload
 
 
-#: kind -> (encoder, decoder)
-_CODECS = {
-    cls.kind: _compile(cls)
-    for cls in (Deploy, Check, Cast, Publish, Tally, SignRequest, SignResponse)
-}
+_KINDS = {cls.kind: cls for cls in Payload.__args__}
+#: kind -> (encoder, decoder, pattern, payload expression)
+_CODECS = {kind: _compile(cls) for kind, cls in _KINDS.items()}
+
+
+@cache
+def grammar(record):
+    """``match`` of the pattern of one whole line, compiled on first use,
+    and the converters of its matches to ``record`` tuples (index,
+    timestamp, sender, recipient, payload), indexed by a match's ``lastindex``.
+
+    A match has every field in its canonical form, so a converter reads
+    them with plain ``int``, ``int(·, 16)`` and ``bytes.fromhex``; only
+    ``int``'s 4,300-digit limit and a payload's own check raise ValueError.
+    """
+    env = {"record": record, "new": tuple.__new__, "fromhex": bytes.fromhex}
+    env.update((cls.__name__, cls) for cls in _KINDS.values())
+    kinds, source, group = [], [], len(ENVELOPE)
+    for kind, (_, _, pattern, payload) in _CODECS.items():
+        width = len(_KINDS[kind].wire)
+        names = "".join(f", f{i}" for i in range(width))
+        groups = "".join(f", {group + 1 + i}" for i in range(width))
+        group += width + 1  # an empty group ends the kind: the match's lastindex
+        kinds.append(f"{pattern}()")
+        source.append(
+            f"def k{group}(m):\n    e0, e1, e2, e3{names} = m.group(1, 2, 3, 4{groups})\n"
+            "    return new(record, (int(e0), int(e1), fromhex(e2),"
+            f" None if e3 == 'create' else fromhex(e3), {payload}))\n"
+        )
+    exec("".join(source), env)
+    line = " ".join(f"({fragment})" for _, fragment in ENVELOPE) + f" (?:{'|'.join(kinds)})\n"
+    return re.compile(line).match, [env.get(f"k{i}") for i in range(group + 1)]
+
+
+def check(specs, fields) -> None:
+    """ParseError at the first field not in its (name, fragment)'s form, quoting 40 characters."""
+    for (name, fragment), field in zip(specs, fields):
+        if not re.fullmatch(fragment, field):
+            raise ParseError(f"bad {name} {field[:40]!r}")
 
 
 def encode_payload(payload: Payload) -> list[str]:
@@ -194,8 +221,12 @@ def encode_payload(payload: Payload) -> list[str]:
 
 def decode_payload(kind: str, fields: list[str]) -> Payload:
     if kind not in _CODECS:
-        raise ParseError(f"unknown payload kind {kind!r}")
+        raise ParseError(f"unknown payload kind {kind[:40]!r}")
+    cls = _KINDS[kind]
+    check([(f"{kind} {n}", c[1]) for n, c in zip(cls.__dataclass_fields__, cls.wire)], fields)
     try:
         return _CODECS[kind][1](*fields)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad {kind} payload fields {fields!r}: {exc}") from exc
+    except TypeError:
+        raise ParseError(f"{len(fields)} fields for a {kind} payload") from None
+    except ValueError as exc:
+        raise ParseError(f"bad {kind} payload: {exc}") from exc

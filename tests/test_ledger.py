@@ -1,13 +1,17 @@
 """Ledger: accounts, authenticated submission, clock, export and replay."""
 
+import importlib.util
 import threading
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindvote import messages
-from blindvote.blindsig import TOY_KEYPAIR
+from blindvote.blindsig import TOY_KEYPAIR, keygen, new_uuid
+from blindvote.contract import seal_ballot
 from blindvote.errors import (
     AuthFailure,
     ClockViolation,
@@ -267,6 +271,34 @@ class TestWireFormat:
             import_log(text[:-1])
         assert exc.value.index == 3
 
+    def test_error_names_the_bad_field_in_bounded_text(self):
+        # a cast sealed under a 1024-bit key: its fields run to 700 characters
+        key, sealing = keygen(1024, 1), keygen(1024, 2)
+        alice = create_account(1)
+        deploy = messages.Deploy(key.n, key.e, 10, 20, 30, True, sealing.n, sealing.e)
+        ballot = seal_ballot(b"ALPHA", sealing.public, 3)
+        cast = messages.Cast(key.n - 1, ballot, new_uuid(4))
+        text = export_log(
+            [
+                Transaction(0, 0, alice.address, None, deploy),
+                Transaction(1, 15, alice.address, b"\x01" * ADDRESS_LEN, cast),
+            ]
+        )
+        assert import_log(text)[1].payload == cast
+        with pytest.raises(ParseError) as exc:
+            import_log(text.replace(ballot.hex(), ballot.hex().upper()))
+        assert exc.value.index == 1
+        assert "cast ballot" in str(exc.value) and len(str(exc.value)) <= 80
+
+    def test_a_long_bad_line_is_rejected_in_linear_time(self):
+        # a parser that retried the bad line from each of its characters
+        # would take minutes here
+        text = self._populated().export() + "1" * 200_000 + " x\n"
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            import_log(text)
+        assert exc.value.index == 4 and time.perf_counter() - start < 2
+
     def test_empty_ballot_field(self):
         payload = messages.Cast(signed=1, ballot=b"", uuid=b"\x00" * 16)
         kind, *fields = messages.encode_payload(payload)
@@ -385,3 +417,20 @@ class TestConcurrency:
             assert mine == sorted(mine)
         again = replay(import_log(ledger.export()), expected_results=ledger.results)
         assert again.log == ledger.log
+
+
+def test_ledger_table_script_at_one_repetition():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "ledger_table.py"
+    spec = importlib.util.spec_from_file_location("ledger_table", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    lines = script.table(repeat=1).splitlines()
+    sizes = " | ".join(f"{n:,}" for n in script.SIZES)
+    assert lines[0] == f"| µs per transaction, toy voters | {sizes} |"
+    counts = [int(cell.replace(",", "")) for cell in lines[2].strip("| ").split(" | ")[1:]]
+    assert lines[2].startswith("| transactions |") and counts == sorted(counts)
+    rows = [line.split(" | ") for line in lines[3:]]
+    assert [row[0] for row in rows] == [f"| {name}" for name in script.NAMES]
+    for row in rows:
+        cells = [float(cell.strip(" |")) for cell in row[1:]]
+        assert len(cells) == len(script.SIZES) and all(c > 0 for c in cells)
