@@ -111,8 +111,10 @@ class Organizer:
             self.issued += 1
         return signed
 
-    def process_requests(self, ledger: Ledger) -> None:
-        """Answer every unanswered signing request addressed to us."""
+    def process_requests(self, ledger: Ledger) -> dict[int, int]:
+        """Answer every unanswered signing request addressed to us; returns
+        {request index: answer index} of the requests answered."""
+        answers = {}
         while self._cursor < len(ledger):
             tx = ledger.entry(self._cursor)
             self._cursor += 1
@@ -121,11 +123,12 @@ class Organizer:
             ):
                 continue
             response = self.decide_sign(tx.sender, tx.payload.blinded, ledger.clock)
-            ledger.submit(
+            answers[tx.index] = ledger.submit(
                 self.account,
                 tx.sender,
                 messages.SignResponse(blinded=tx.payload.blinded, signed_blinded=response),
-            )
+            ).index
+        return answers
 
     def publish_result(self, ledger: Ledger) -> None:
         """Reveal the sealing private key on-ledger (sealed elections only)."""
@@ -151,7 +154,6 @@ class VoterState:
     r: int
     uuid: bytes
     eligible_account: Account
-    pk: PublicKey
     blinded: int
     anon_account: Account | None = None
     signed_blinded: int | None = None
@@ -188,7 +190,6 @@ def voter_prepare(
         r=r,
         uuid=uuid,
         eligible_account=eligible_account,
-        pk=pk,
         blinded=blind(ballot_digest(payload, uuid), r, pk),
     )
 
@@ -200,15 +201,17 @@ def voter_obtain_signature(
 ) -> VoterState:
     """Sign stage: request, collect the response, check it on-contract, unblind.
 
-    Raises SignRefused on the sentinel answer and CheckFailed when the
+    Raises SignRefused on the sentinel answer or none, and CheckFailed when the
     contract disagrees with the organizer's signature; the latter is the
     cue for the out-of-band dispute the protocol leaves unspecified.
     """
     request = ledger.submit(
         state.eligible_account, organizer.address, messages.SignRequest(state.blinded)
     )
-    organizer.process_requests(ledger)
-    response_index, response = _find_response(ledger, state, request.index)
+    answer = organizer.process_requests(ledger).get(request.index)
+    if answer is None:
+        raise SignRefused("organizer never answered")
+    response = ledger.entry(answer).payload
     if response.signed_blinded == REFUSED:
         raise SignRefused(f"organizer refused request at index {request.index}")
     check = ledger.submit(
@@ -219,21 +222,9 @@ def voter_obtain_signature(
     if not check.result:
         raise CheckFailed("contract rejected the organizer's signature")
     state.signed_blinded = response.signed_blinded
-    state.signed = unblind(response.signed_blinded, state.r, state.pk)
-    state.sign_tx_index = response_index
+    state.signed = unblind(response.signed_blinded, state.r, ledger.contract.params.pk)
+    state.sign_tx_index = answer
     return state
-
-
-def _find_response(ledger: Ledger, state: VoterState, after: int):
-    for index in range(after + 1, len(ledger)):
-        tx = ledger.entry(index)
-        if (
-            tx.recipient == state.eligible_account.address
-            and isinstance(tx.payload, messages.SignResponse)
-            and tx.payload.blinded == state.blinded
-        ):
-            return tx.index, tx.payload
-    raise SignRefused("organizer never answered")
 
 
 def voter_cast(

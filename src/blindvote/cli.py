@@ -23,11 +23,6 @@ from .errors import ProtocolError
 from .scenario import RunReport, ScenarioConfig, run_scenario, verify_transcript
 
 
-def _load_config(path: str, seed_arg: int | None) -> ScenarioConfig:
-    config = ScenarioConfig.from_json_file(path)
-    return config if seed_arg is None else replace(config, seed=seed_arg)
-
-
 def _print_report(report: RunReport) -> None:
     for row in report.assertions:
         mark = "ok " if row.ok else "FAIL"
@@ -51,15 +46,10 @@ def _print_report(report: RunReport) -> None:
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args.config, args.seed)
-    report = run_scenario(config, out_dir=args.out)
-    _print_report(report)
-    return 0 if report.all_ok() else 1
-
-
-def cmd_attack(args) -> int:
-    config = _load_config(args.config, args.seed)
-    report = run_attack(args.name, config, out_dir=args.out)
+    """``run``, or ``attack`` when ``args.name`` names an attack."""
+    config = ScenarioConfig.from_json_file(args.config)
+    config = config if args.seed is None else replace(config, seed=args.seed)
+    report = run_attack(args.name, config, args.out) if args.name else run_scenario(config, args.out)
     _print_report(report)
     return 0 if report.all_ok() else 1
 
@@ -101,18 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="run a full election scenario")
-    p.add_argument("config", help="scenario config (JSON)")
-    p.add_argument("--out", default=None, help="directory for transcript and report")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("attack", help="run a named adversarial scenario")
-    p.add_argument("name", choices=sorted(ATTACKS), help="attack to run")
-    p.add_argument("config", help="scenario config (JSON)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_attack)
+    run = sub.add_parser("run", help="run a full election scenario")
+    run.set_defaults(name=None)
+    attack = sub.add_parser("attack", help="run a named adversarial scenario")
+    attack.add_argument("name", choices=sorted(ATTACKS), help="attack to run")
+    for p in (run, attack):
+        p.add_argument("config", help="scenario config (JSON)")
+        p.add_argument("--out", default=None, help="directory for transcript and report")
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", help="replay a transcript and check for divergence")
     p.add_argument("transcript")

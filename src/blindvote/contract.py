@@ -56,12 +56,9 @@ class ElectionContract:
     params: messages.Deploy
     ballot_box: dict[bytes, bytes] = field(default_factory=dict)
     published_key: KeyPair | None = None
-    # uuid -> KEM secret x that another count of this box recorded, handed in
-    # by a replay of the same transcript (see count)
-    recorded: dict[bytes, int] = field(default_factory=dict, compare=False, repr=False)
-    # the sealing key the live contract published, handed in likewise;
-    # publish_key takes it on the same (n, e, d) instead of factoring n again
-    recorded_key: KeyPair | None = field(default=None, compare=False, repr=False)
+    # the live contract, handed to a replay of its own transcript: count and
+    # publish_key reuse what it already opened and published
+    recorded: ElectionContract | None = field(default=None, compare=False, repr=False)
     # uuid -> (ballot, KEM secret x) of each entry opened under published_key,
     # None when spoiled; neither the entries nor the key ever change, so each
     # entry is opened at most once
@@ -123,8 +120,9 @@ class ElectionContract:
         factor_modulus checks both (2^(ed - 1) = 1 mod n), so a publish costs
         one factoring walk on one Montgomery context; only an even n, where 2
         is no unit, needs a separate check, by ``pow``. A second publication is
-        refused. After every check, a ``recorded_key`` with the same (n, e, d)
-        is taken instead of factoring. A failed native power raises OSError.
+        refused. After every check, the ``recorded`` contract's published key
+        is taken instead of factoring when it has the same (n, e, d). A failed
+        native power raises OSError.
         """
         p = self.params
         if not p.sealed:
@@ -137,7 +135,7 @@ class ElectionContract:
         if n != p.sealing_n or (n % 2 == 0 and pow(pow(2, e, n), d, n) != 2):
             raise KeyMismatch("private exponent does not invert the sealing key")
         try:
-            key = self.recorded_key
+            key = self.recorded and self.recorded.published_key
             if key is None or (key.n, key.e, key.d) != (n, e, d):
                 key = KeyPair(n, e, d, *factor_modulus(n, e, d))
             self.published_key = key
@@ -155,26 +153,21 @@ class ElectionContract:
 
         A sealed entry that does not unseal is spoiled and not counted: the
         organizer signs blind, so any eligible voter can get a payload that
-        is no ciphertext accepted. An entry with a ``recorded`` secret that
-        checks out is opened with it instead of being decrypted.
+        is no ciphertext accepted. An entry the ``recorded`` contract opened
+        is opened with its KEM secret, when that checks out, instead of being
+        decrypted.
         """
         if not self.params.sealed:
             return Counter(self.ballot_box.values())
         key = self.published_key
         if key is None:
             raise ResultSealed("sealing key not published")
+        recorded = {} if self.recorded is None else self.recorded._opened
         for uuid, sealed in self.ballot_box.items():
             if uuid not in self._opened:
-                self._opened[uuid] = _open_entry(sealed, key, self.recorded.get(uuid))
+                out = recorded.get(uuid)  # its (ballot, KEM secret), None if spoiled
+                self._opened[uuid] = _open_entry(sealed, key, out and out[1])
         return Counter(out[0] for out in self._opened.values() if out is not None)
-
-    def kem_secrets(self) -> dict[bytes, int]:
-        """uuid -> KEM secret of every entry opened so far.
-
-        For replays of this contract's own transcript: a replayed contract
-        handed these opens each entry with one public-exponent power.
-        """
-        return {uuid: out[1] for uuid, out in self._opened.items() if out is not None}
 
 
 # --- sealed-mode ballot encryption --------------------------------------------

@@ -13,9 +13,9 @@ Wire format, one transaction per line:
     index timestamp sender_hex recipient_hex|create kind field...
 
 index and timestamp are decimal without sign or leading zero; addresses
-are 40 lowercase hex chars; ``messages`` holds the payload codecs and the
-line grammar. Every line ends in ``\n`` and fields are separated by one
-space. Only that form parses, so each log has exactly one transcript.
+are 40 lowercase hex chars; ``messages`` holds ``Transaction``, the payload
+codecs and the line grammar. Every line ends in ``\n`` and fields are
+separated by one space. Only that form parses, so each log has one transcript.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import hashlib
 import random
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import messages
 from .contract import ElectionContract
 from .errors import AuthFailure, ClockViolation, ParseError, Redeploy, ReplayDivergence
+from .messages import Transaction
 from .rng import as_rng
 
 ADDRESS_LEN = 20
@@ -56,17 +56,6 @@ def derive_contract_address(creator: bytes, index: int) -> bytes:
     ]
 
 
-class Transaction(NamedTuple):
-    """One logged transaction. A named tuple because a transcript builds one
-    per line, and it builds in about a third of a frozen dataclass's time."""
-
-    index: int
-    timestamp: int
-    sender: bytes
-    recipient: bytes | None  # None = contract creation
-    payload: messages.Payload
-
-
 @dataclass(frozen=True)
 class TxReceipt:
     index: int
@@ -78,9 +67,8 @@ class Ledger:
 
     ``contract`` and ``contract_address`` are None until the deploy, and a
     second deploy raises Redeploy. Only a replay of a run's own transcript
-    has ``recorded``, the live contract: the one deployed here starts with
-    its KEM secrets (:meth:`ElectionContract.count`) and its published key
-    (:meth:`ElectionContract.publish_key`).
+    has ``recorded``, the live contract, which the contract deployed here
+    is handed (see :class:`ElectionContract`).
     """
 
     def __init__(self, recorded: ElectionContract | None = None):
@@ -89,10 +77,7 @@ class Ledger:
         self._clock = 0
         self.contract: ElectionContract | None = None
         self.contract_address: bytes | None = None
-        # what the contract deployed here takes from ``recorded``
-        self._recorded = {} if recorded is None else dict(
-            recorded=recorded.kem_secrets(), recorded_key=recorded.published_key
-        )
+        self._recorded = recorded
         self._lock = threading.Lock()
 
     @property
@@ -157,6 +142,8 @@ class Ledger:
             return self._deploy(tx)
         if tx.recipient == self.contract_address:
             return self.contract.execute(tx.payload, tx.timestamp)
+        if tx.payload.kind not in ("sign_request", "sign_response"):
+            raise TypeError(f"a {tx.payload.kind} payload cannot go to an account")
         return None  # plain account-to-account message
 
     def _deploy(self, tx: Transaction) -> bytes:
@@ -164,7 +151,7 @@ class Ledger:
             raise TypeError("contract creation requires a deploy payload")
         if self.contract is not None:
             raise Redeploy("the ledger already holds its election contract")
-        self.contract = ElectionContract(tx.payload, **self._recorded)
+        self.contract = ElectionContract(tx.payload, recorded=self._recorded)
         self.contract_address = derive_contract_address(tx.sender, tx.index)
         return self.contract_address
 
@@ -191,7 +178,7 @@ def import_log(text: str) -> list[Transaction]:
     ParseError with its index, naming its first bad field; a last line
     without its ``\n`` is a bad line.
     """
-    match, convert = messages.grammar(Transaction)
+    match, convert = messages.grammar()
     transactions, end = [], 0
     try:
         # one match per line, at its start: a search would rescan a bad
@@ -223,8 +210,8 @@ def replay(transactions, expected_results=None, recorded=None) -> Ledger:
     when the live run's receipt results are supplied, the first result
     mismatch is reported the same way; a second deploy diverges at its
     index. An OSError is a failure of the machine, not of the log, and
-    propagates. ``recorded`` is the live contract of a run's own transcript,
-    whose KEM secrets and published key the replay takes (see :class:`Ledger`).
+    propagates. ``recorded`` is the live contract of a run's own transcript
+    (see :class:`Ledger`).
     """
     transactions = list(transactions)
     if expected_results is not None and len(expected_results) != len(transactions):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 from .blindsig import PublicKey, int_to_hex
 from .errors import ParseError
@@ -142,9 +143,21 @@ class SignResponse:
 Payload = Deploy | Check | Cast | Publish | Tally | SignRequest | SignResponse
 
 
-def _compile(cls):
-    """Write out the encoder and the decoder of cls from its wire table, and
-    the kind's pattern, whose groups are the decoder's fields f0, f1, ...
+class Transaction(NamedTuple):
+    """One logged transaction. A named tuple because a transcript builds one
+    per line, and it builds in about a third of a frozen dataclass's time."""
+
+    index: int
+    timestamp: int
+    sender: bytes
+    recipient: bytes | None  # None = contract creation
+    payload: Payload
+
+
+def _compile(classes):
+    """Write out, for each class from its wire table, the encoder, the decoder
+    of its fields f0, f1, ... and the converter of a line's match to a
+    Transaction, and the kind's pattern, whose groups are those fields.
 
     The generated functions make one direct call per field, as a method
     written by hand for each class would. Looping over the table at run
@@ -152,57 +165,58 @@ def _compile(cls):
     fifth slower (CPython 3.11). An optional field opens a group that
     closes at the end of the line, so only the last fields may be absent.
     """
-    env = {cls.__name__: cls, "fromhex": bytes.fromhex}
-    encoded, params, decoded, pattern = [repr(cls.kind)], [], [], cls.kind
-    fields = zip(cls.__dataclass_fields__, cls.wire, strict=True)
-    for i, (name, (encode, fragment, decode)) in enumerate(fields):
-        optional = encode is OPTIONAL_INT[0]
-        env[f"e{i}"] = encode
-        encoded.append(f"e{i}(p.{name})")
-        params.append(f"f{i}=None" if optional else f"f{i}")
-        decoded.append(decode.format(f"f{i}"))
-        pattern += f"(?: ({fragment})" if optional else f" ({fragment})"
-    payload = f"{cls.__name__}({', '.join(decoded)})"
-    exec(
-        f"def encode(p): return [{', '.join(encoded)}]\n"
-        f"def decode({', '.join(params)}): return {payload}\n",
-        env,
-    )
-    return env["encode"], env["decode"], pattern + ")?" * cls.wire.count(OPTIONAL_INT), payload
+    # convert[g] converts a match whose lastindex is g; its length is one
+    # more than the number of a line's groups ahead of the next kind's
+    codecs, convert = {}, [None] * (len(ENVELOPE) + 1)
+    for cls in classes:
+        # the generated code reads this module's names, the field encoders
+        # e0, e1, ... and two methods bound once instead of looked up per line
+        env = {**globals(), "new": tuple.__new__, "fromhex": bytes.fromhex}
+        encoded, params, decoded, pattern = [repr(cls.kind)], [], [], cls.kind
+        fields = zip(cls.__dataclass_fields__, cls.wire, strict=True)
+        for i, (name, (encode, fragment, decode)) in enumerate(fields):
+            optional = encode is OPTIONAL_INT[0]
+            env[f"e{i}"] = encode
+            encoded.append(f"e{i}(p.{name})")
+            params.append(f"f{i}=None" if optional else f"f{i}")
+            decoded.append(decode.format(f"f{i}"))
+            pattern += f"(?: ({fragment})" if optional else f" ({fragment})"
+        payload = f"{cls.__name__}({', '.join(decoded)})"
+        names = "".join(f", f{i}" for i in range(len(cls.wire)))
+        groups = "".join(f", {len(convert) + i}" for i in range(len(cls.wire)))
+        exec(
+            f"def encode(p): return [{', '.join(encoded)}]\n"
+            f"def decode({', '.join(params)}): return {payload}\n"
+            f"def convert(m):\n    e0, e1, e2, e3{names} = m.group(1, 2, 3, 4{groups})\n"
+            "    return new(Transaction, (int(e0), int(e1), fromhex(e2),"
+            f" None if e3 == 'create' else fromhex(e3), {payload}))\n",
+            env,
+        )
+        # an empty group ends the kind: the match's lastindex
+        pattern += ")?" * cls.wire.count(OPTIONAL_INT) + "()"
+        codecs[cls.kind] = env["encode"], env["decode"], pattern
+        convert += [None] * len(cls.wire) + [env["convert"]]
+    return codecs, convert
 
 
 _KINDS = {cls.kind: cls for cls in Payload.__args__}
-#: kind -> (encoder, decoder, pattern, payload expression)
-_CODECS = {kind: _compile(cls) for kind, cls in _KINDS.items()}
+#: kind -> (encoder, decoder, pattern); the line converters by lastindex
+_CODECS, _CONVERT = _compile(_KINDS.values())
 
 
 @cache
-def grammar(record):
-    """``match`` of the pattern of one whole line, compiled on first use,
-    and the converters of its matches to ``record`` tuples (index,
-    timestamp, sender, recipient, payload), indexed by a match's ``lastindex``.
+def grammar():
+    """``match`` of the pattern of one whole line, compiled on first use, and
+    the converters of its matches to Transactions, indexed by a match's
+    ``lastindex``.
 
     A match has every field in its canonical form, so a converter reads
     them with plain ``int``, ``int(·, 16)`` and ``bytes.fromhex``; only
     ``int``'s 4,300-digit limit and a payload's own check raise ValueError.
     """
-    env = {"record": record, "new": tuple.__new__, "fromhex": bytes.fromhex}
-    env.update((cls.__name__, cls) for cls in _KINDS.values())
-    kinds, source, group = [], [], len(ENVELOPE)
-    for kind, (_, _, pattern, payload) in _CODECS.items():
-        width = len(_KINDS[kind].wire)
-        names = "".join(f", f{i}" for i in range(width))
-        groups = "".join(f", {group + 1 + i}" for i in range(width))
-        group += width + 1  # an empty group ends the kind: the match's lastindex
-        kinds.append(f"{pattern}()")
-        source.append(
-            f"def k{group}(m):\n    e0, e1, e2, e3{names} = m.group(1, 2, 3, 4{groups})\n"
-            "    return new(record, (int(e0), int(e1), fromhex(e2),"
-            f" None if e3 == 'create' else fromhex(e3), {payload}))\n"
-        )
-    exec("".join(source), env)
-    line = " ".join(f"({fragment})" for _, fragment in ENVELOPE) + f" (?:{'|'.join(kinds)})\n"
-    return re.compile(line).match, [env.get(f"k{i}") for i in range(group + 1)]
+    kinds = "|".join(codec[2] for codec in _CODECS.values())
+    line = " ".join(f"({fragment})" for _, fragment in ENVELOPE) + f" (?:{kinds})\n"
+    return re.compile(line).match, _CONVERT
 
 
 def check(specs, fields) -> None:

@@ -229,6 +229,21 @@ class TestSignStage:
             voter_obtain_signature(state, ledger, organizer)
         assert state.signed is None
 
+    def test_unanswered_request_refused(self, world):
+        ledger, organizer, alice, _ = world
+
+        class SilentOrganizer(Organizer):
+            def process_requests(self, ledger):
+                return {}  # reads the requests, answers none
+
+        silent = SilentOrganizer(key=TOY, account=organizer.account)
+        state = voter_prepare(b"A", 5, TOY.public, alice)
+        with pytest.raises(SignRefused, match="organizer never answered"):
+            voter_obtain_signature(state, ledger, silent)
+        # the request went out; no check follows an answer never given
+        assert [tx.payload.kind for tx in ledger.log] == ["deploy", "sign_request"]
+        assert state.signed is None and state.sign_tx_index is None
+
     def test_garbage_signature_caught_by_contract(self, world):
         ledger, organizer, alice, _ = world
 

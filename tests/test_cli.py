@@ -11,6 +11,7 @@ import pytest
 
 from blindvote.cli import build_parser, main
 from blindvote.blindsig import TOY_KEYPAIR
+from blindvote.scenario import verify_transcript
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -308,6 +309,22 @@ class TestDivergentTranscripts:
             f"DIVERGENCE at index {index}: execution failed at index {index}: "
             "contract cannot execute payload SignRequest("
         )
+
+    @pytest.mark.parametrize("kind", ["deploy", "check", "cast", "tally"])
+    def test_contract_payload_to_an_account_named(self, transcript, capsys, kind):
+        # never a silent plain message: a re-addressed first cast would
+        # verify with its ballot left out of the recount
+        rows = [line.split(" ") for line in transcript.read_text().splitlines(keepends=True)]
+        index = next(i for i, row in enumerate(rows) if row[4].rstrip("\n") == kind)
+        rows[index][3] = "ab" * 20
+        transcript.write_text("".join(" ".join(row) for row in rows))
+        for verb in ("verify", "tally"):
+            assert main([verb, str(transcript)]) == 1
+            assert capsys.readouterr().out == (
+                f"DIVERGENCE at index {index}: execution failed at index {index}: "
+                f"a {kind} payload cannot go to an account\n"
+            )
+        assert verify_transcript(transcript).index == index
 
     def test_empty_transcript_named(self, tmp_path, capsys):
         empty = tmp_path / "empty.log"

@@ -457,10 +457,8 @@ class TestUnsealAll:
         assert c.tally(clock=30) == expected
         assert unseal_calls == entries
         in_turn = _unseal_in_turn(entries, key_1024)
-        assert list(c._opened.values()) == in_turn
-        assert c.kem_secrets() == {
-            uuid_of(i): out[1] for i, out in enumerate(in_turn) if out is not None
-        }
+        # each entry's (ballot, KEM secret), or None when spoiled, under its uuid
+        assert c._opened == {uuid_of(i): out for i, out in enumerate(in_turn)}
         del unseal_calls[:]
         assert c.count() == expected and unseal_calls == []  # nothing left to unseal
 
@@ -624,13 +622,22 @@ def _recorded_cases(key):
             yield f"{kind}/{name}", sealed, secret, d, usable
 
 
+def _live(key, opened=(), published=None):
+    """The live contract a replay is handed: it opened ``opened`` (uuid ->
+    (ballot, KEM secret), or None when spoiled) and published ``published``."""
+    live = make_contract(sealed=True, sealing=key)
+    live._opened.update(opened)
+    live.published_key = published
+    return live
+
+
 def _count_one(key, sealed, recorded=None, d=None):
     c = make_contract(sealed=True, sealing=key)
-    c.recorded = recorded or {}
+    c.recorded = recorded
     uuid = uuid_of(0)
     assert c.cast(signed_ballot(sealed, uuid), sealed, uuid, clock=20)
     c.publish_key(key.n, key.d if d is None else d, clock=30)
-    return c.count(), c._opened, c.kem_secrets()
+    return c.count(), c._opened
 
 
 class TestRecordedSecrets:
@@ -640,17 +647,20 @@ class TestRecordedSecrets:
         for case, sealed, secret, d, usable in _recorded_cases(key):
             decrypted = _count_one(key, sealed)
             del unseal_calls[:]
-            assert _count_one(key, sealed, {uuid_of(0): secret}, d) == decrypted, case
+            # the live count's ballot is never taken: only its secret, checked
+            live = _live(key, {uuid_of(0): (b"RECORDED", secret)})
+            assert _count_one(key, sealed, live, d) == decrypted, case
             assert unseal_calls == ([] if usable else [sealed]), case
 
     def test_batch_with_secrets_equals_the_loop(self, key_1024, unseal_calls):
         entries = _batch(key_1024)
         in_turn = _unseal_in_turn(entries, key_1024)
         c = _published(key_1024, entries)
-        # correct secrets for entries 0 and 5, a wrong one for 2, none for the rest
-        c.recorded = {
-            uuid_of(0): in_turn[0][1], uuid_of(2): in_turn[2][1] + 1, uuid_of(5): in_turn[5][1]
-        }
+        # correct secrets for entries 0 and 5, a wrong one for 2, entry 1
+        # spoiled, none for the rest
+        opened = {uuid_of(0): in_turn[0], uuid_of(1): None, uuid_of(5): in_turn[5]}
+        opened[uuid_of(2)] = (in_turn[2][0], in_turn[2][1] + 1)
+        c.recorded = _live(key_1024, opened)
         del unseal_calls[:]
         c.count()
         assert list(c._opened.values()) == in_turn
@@ -672,7 +682,7 @@ class TestRecordedSecrets:
             ("none", None, key.d, False),
         ]:
             c = make_contract(sealed=True, sealing=key)
-            c.recorded_key = recorded
+            c.recorded = _live(key, published=recorded)
             fresh = make_contract(sealed=True, sealing=key)
             for con in (c, fresh):
                 for i, sealed in enumerate(entries):
@@ -707,7 +717,7 @@ class TestRecordedSecrets:
             outcomes = []
             for recorded in (None, published):
                 c = make_contract(sealed=True, sealing=deployed)
-                c.recorded_key = recorded
+                c.recorded = None if recorded is None else _live(deployed, published=recorded)
                 if twice:
                     c.publish_key(published.n, published.d, clock=30)
                 before = c.published_key
